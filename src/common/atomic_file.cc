@@ -1,13 +1,13 @@
 #include "common/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "common/fault_injection.h"
 
@@ -109,13 +109,29 @@ Status ReadFileToString(const std::string& path, std::string* out,
   if (act.kind == FaultKind::kFail) {
     return Status::IoError("injected read failure for " + path);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open " + path);
+  // One read into a buffer of the file's size: no geometric regrowth, so
+  // the peak is the file itself.
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
     return Status::IoError("read error on " + path);
   }
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      return Status::IoError("read error on " + path);
+    }
+    if (n == 0) break;  // truncated since fstat: keep what is there
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(done);
   if (act.kind == FaultKind::kBitFlip && !bytes.empty()) {
     bytes[static_cast<size_t>(act.param) % bytes.size()] ^= 1;
   }

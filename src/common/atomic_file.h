@@ -27,11 +27,12 @@ namespace desalign::common {
 Status AtomicWriteFile(const std::string& path, const std::string& bytes,
                        const std::string& fault_site = "atomic_write");
 
-/// Reads the whole of `path` into `*out`. IoError on missing/unreadable
-/// files. FaultInjector site `<site>` supports `fail` and `bitflip:N`
-/// (corrupts byte N of the returned buffer), so loaders can be tested
-/// against transient read errors and media bit rot without touching the
-/// on-disk file. `site` defaults to "file.read".
+/// Reads the whole of `path` into `*out` with one read into a buffer of
+/// the file's size. IoError on missing/unreadable files. FaultInjector
+/// site `<site>` supports `fail` and `bitflip:N` (corrupts byte N of the
+/// returned buffer), so loaders can be tested against transient read
+/// errors and media bit rot without touching the on-disk file. `site`
+/// defaults to "file.read".
 Status ReadFileToString(const std::string& path, std::string* out,
                         const std::string& fault_site = "file.read");
 

@@ -34,6 +34,7 @@ constexpr char kMagic[] = "DESALIGNCKPT2\n";
 constexpr size_t kMagicLen = sizeof(kMagic) - 1;
 constexpr char kEndMarker[] = "DCKPTEND";
 constexpr size_t kEndMarkerLen = sizeof(kEndMarker) - 1;
+constexpr size_t kFooterLen = sizeof(uint32_t) + kEndMarkerLen;
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kHasOptimizer = 1;
 constexpr uint32_t kHasRng = 2;
@@ -63,24 +64,88 @@ static_assert(kMagicV3Len == kMagicLen, "v2/v3 magics must share a length");
 constexpr char kLegacyMagic[] = "DESALIGNPARAMS1";
 constexpr size_t kLegacyMagicLen = sizeof(kLegacyMagic) - 1;
 
-template <typename T>
-void Append(std::string* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+/// Appends the footer-checksummed body of a checkpoint file. Built without
+/// a target it only counts bytes: WriteFile runs every layout once through
+/// a counting writer to size the file exactly and once for real, so a file
+/// is one allocation, sealed in place.
+class BodyWriter {
+ public:
+  BodyWriter() = default;
+  explicit BodyWriter(std::string* out) : out_(out) {}
+
+  template <typename T>
+  void Put(T value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Bytes(&value, sizeof(T));
+  }
+
+  /// `count` elements followed by the CRC32 of their bytes.
+  template <typename T>
+  void Array(const T* values, size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const size_t bytes = count * sizeof(T);
+    Bytes(values, bytes);
+    Put<uint32_t>(out_ != nullptr ? Crc32(values, bytes) : 0);
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  void Bytes(const void* data, size_t n) {
+    if (out_ != nullptr) out_->append(static_cast<const char*>(data), n);
+    size_ += n;
+  }
+
+  std::string* out_ = nullptr;
+  size_t size_ = 0;
+};
+
+void WriteHeader(BodyWriter& w, uint32_t version, int64_t epoch,
+                 uint32_t flags, size_t tensor_count) {
+  w.Put<uint32_t>(version);
+  w.Put<int64_t>(epoch);
+  w.Put<uint32_t>(flags);
+  w.Put<int64_t>(static_cast<int64_t>(tensor_count));
 }
 
-void AppendFloats(std::string* out, const std::vector<float>& values) {
-  out->append(reinterpret_cast<const char*>(values.data()),
-              values.size() * sizeof(float));
-  Append<uint32_t>(out, Crc32(values.data(), values.size() * sizeof(float)));
+// The one tensor-record writer: v2 records are untagged fp32, v3 records
+// lead with their dtype tag. The caller has checked the payload sizes.
+void WriteRecord(BodyWriter& w, bool v3, const TensorRecordView& r) {
+  const size_t elems = static_cast<size_t>(r.rows * r.cols);
+  if (v3) w.Put<uint8_t>(static_cast<uint8_t>(r.dtype));
+  w.Put<int64_t>(r.rows);
+  w.Put<int64_t>(r.cols);
+  switch (r.dtype) {
+    case TensorDtype::kFloat32:
+      w.Array(r.f32, elems);
+      break;
+    case TensorDtype::kInt8:
+      w.Put<int64_t>(r.rows);  // scale count: one scale per row
+      w.Array(r.scales, static_cast<size_t>(r.rows));
+      w.Array(r.codes, elems);
+      break;
+    case TensorDtype::kBf16:
+      w.Array(r.bf16, elems);
+      break;
+  }
 }
 
-template <typename T>
-void AppendArray(std::string* out, const std::vector<T>& values) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(values.data()),
-              values.size() * sizeof(T));
-  Append<uint32_t>(out, Crc32(values.data(), values.size() * sizeof(T)));
+// Publishes magic | body | u32 crc(body) | end marker atomically (fault
+// site "ckpt.write"). `write_body` runs twice: to size, then to fill.
+template <typename WriteBody>
+Status WriteFile(const char* magic, const WriteBody& write_body,
+                 const std::string& path) {
+  BodyWriter counter;
+  write_body(counter);
+  std::string file;
+  file.reserve(kMagicLen + counter.size() + kFooterLen);
+  file.append(magic, kMagicLen);
+  BodyWriter body(&file);
+  write_body(body);
+  const uint32_t crc = Crc32(file.data() + kMagicLen, body.size());
+  file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  file.append(kEndMarker, kEndMarkerLen);
+  return common::AtomicWriteFile(path, file, "ckpt.write");
 }
 
 /// Bounds-checked forward-only reader over the in-memory file. Every Read
@@ -116,10 +181,6 @@ class ByteReader {
     return true;
   }
 
-  bool ReadFloats(size_t count, std::vector<float>* out, bool* crc_ok) {
-    return ReadArray<float>(count, out, crc_ok);
-  }
-
   bool ReadString(size_t count, std::string* out) {
     if (remaining() < count) return false;
     out->assign(bytes_.data() + pos_, count);
@@ -138,14 +199,74 @@ Status Corrupt(const std::string& path, const std::string& detail) {
   return Status::IoError("corrupt checkpoint " + path + ": " + detail);
 }
 
-std::string SealFile(const char* magic, const std::string& body) {
-  std::string file;
-  file.reserve(kMagicLen + body.size() + sizeof(uint32_t) + kEndMarkerLen);
-  file.append(magic, kMagicLen);
-  file.append(body);
-  Append<uint32_t>(&file, Crc32(body.data(), body.size()));
-  file.append(kEndMarker, kEndMarkerLen);
-  return file;
+// Parses tensor record `index` into `q`, checking its shape against the
+// bytes left and every payload CRC.
+Status ReadRecord(ByteReader& reader, bool v3, int64_t index,
+                  const std::string& path, QuantTensor* q) {
+  uint8_t dtype_tag = 0;  // v2 records are untagged fp32
+  if ((v3 && !reader.Read(&dtype_tag)) || !reader.Read(&q->rows) ||
+      !reader.Read(&q->cols)) {
+    return Corrupt(path, "truncated tensor header");
+  }
+  if (dtype_tag > static_cast<uint8_t>(TensorDtype::kBf16)) {
+    return Corrupt(path, "tensor " + std::to_string(index) +
+                             " has unknown dtype id " +
+                             std::to_string(dtype_tag));
+  }
+  q->dtype = static_cast<TensorDtype>(dtype_tag);
+  const size_t elem_bytes = DtypeBytes(q->dtype);
+  if (q->rows < 0 || q->cols < 0 ||
+      (q->cols > 0 &&
+       q->rows > static_cast<int64_t>(reader.remaining() / elem_bytes) /
+                     q->cols)) {
+    return Corrupt(path, "implausible tensor shape " +
+                             std::to_string(q->rows) + "x" +
+                             std::to_string(q->cols));
+  }
+  const size_t elems = static_cast<size_t>(q->rows * q->cols);
+  bool crc_ok = true;
+  switch (q->dtype) {
+    case TensorDtype::kFloat32:
+      if (!reader.ReadArray(elems, &q->f32, &crc_ok)) {
+        return Corrupt(path, "truncated tensor payload");
+      }
+      break;
+    case TensorDtype::kInt8: {
+      int64_t scale_count = 0;
+      if (!reader.Read(&scale_count)) {
+        return Corrupt(path, "truncated scale count");
+      }
+      if (scale_count != q->rows) {
+        return Corrupt(path, "tensor " + std::to_string(index) +
+                                 " scale count " +
+                                 std::to_string(scale_count) +
+                                 " does not match rows " +
+                                 std::to_string(q->rows));
+      }
+      if (!reader.ReadArray(static_cast<size_t>(scale_count), &q->scales,
+                            &crc_ok)) {
+        return Corrupt(path, "truncated scale payload");
+      }
+      if (!crc_ok) {
+        return Corrupt(path, "tensor " + std::to_string(index) +
+                                 " scale checksum mismatch");
+      }
+      if (!reader.ReadArray(elems, &q->codes, &crc_ok)) {
+        return Corrupt(path, "truncated tensor payload");
+      }
+      break;
+    }
+    case TensorDtype::kBf16:
+      if (!reader.ReadArray(elems, &q->bf16, &crc_ok)) {
+        return Corrupt(path, "truncated tensor payload");
+      }
+      break;
+  }
+  if (!crc_ok) {
+    return Corrupt(path, "tensor " + std::to_string(index) +
+                             " checksum mismatch");
+  }
+  return Status::Ok();
 }
 
 Status SaveCheckpointV3(const TrainingCheckpoint& ckpt,
@@ -160,24 +281,17 @@ Status SaveCheckpointV3(const TrainingCheckpoint& ckpt,
         "quantized checkpoints are params-only snapshots; optimizer / rng / "
         "train state cannot be attached");
   }
-  std::string body;
-  Append<uint32_t>(&body, kVersionV3);
-  Append<int64_t>(&body, ckpt.epoch);
-  Append<uint32_t>(&body, 0);  // flags: always 0 in v3
-  Append<int64_t>(&body, static_cast<int64_t>(ckpt.quant_tensors.size()));
+  std::vector<TensorRecordView> records;
+  records.reserve(ckpt.quant_tensors.size());
   for (size_t i = 0; i < ckpt.quant_tensors.size(); ++i) {
     const QuantTensor& q = ckpt.quant_tensors[i];
     const size_t elems = static_cast<size_t>(q.rows * q.cols);
-    Append<uint8_t>(&body, static_cast<uint8_t>(q.dtype));
-    Append<int64_t>(&body, q.rows);
-    Append<int64_t>(&body, q.cols);
     switch (q.dtype) {
       case TensorDtype::kFloat32:
         if (q.f32.size() != elems) {
           return Status::InvalidArgument("tensor " + std::to_string(i) +
                                          ": fp32 payload size mismatch");
         }
-        AppendArray(&body, q.f32);
         break;
       case TensorDtype::kInt8:
         if (q.codes.size() != elems ||
@@ -185,122 +299,32 @@ Status SaveCheckpointV3(const TrainingCheckpoint& ckpt,
           return Status::InvalidArgument("tensor " + std::to_string(i) +
                                          ": int8 payload size mismatch");
         }
-        Append<int64_t>(&body, static_cast<int64_t>(q.scales.size()));
-        AppendArray(&body, q.scales);
-        AppendArray(&body, q.codes);
         break;
       case TensorDtype::kBf16:
         if (q.bf16.size() != elems) {
           return Status::InvalidArgument("tensor " + std::to_string(i) +
                                          ": bf16 payload size mismatch");
         }
-        AppendArray(&body, q.bf16);
         break;
       default:
         return Status::InvalidArgument("tensor " + std::to_string(i) +
                                        ": unknown dtype");
     }
+    records.push_back({.dtype = q.dtype,
+                       .rows = q.rows,
+                       .cols = q.cols,
+                       .f32 = q.f32.data(),
+                       .codes = q.codes.data(),
+                       .scales = q.scales.data(),
+                       .bf16 = q.bf16.data()});
   }
-  return common::AtomicWriteFile(path, SealFile(kMagicV3, body),
-                                 "ckpt.write");
-}
-
-Result<TrainingCheckpoint> LoadCheckpointV3(const std::string& path,
-                                            ByteReader& reader) {
-  uint32_t version = 0;
-  uint32_t flags = 0;
-  int64_t tensor_count = 0;
-  TrainingCheckpoint ckpt;
-  if (!reader.Read(&version) || !reader.Read(&ckpt.epoch) ||
-      !reader.Read(&flags) || !reader.Read(&tensor_count)) {
-    return Corrupt(path, "truncated header");
-  }
-  if (version != kVersionV3) {
-    return Status::IoError(path + " has unsupported checkpoint version " +
-                           std::to_string(version));
-  }
-  if (flags != 0) {
-    return Corrupt(path, "v3 checkpoint with nonzero flags " +
-                             std::to_string(flags));
-  }
-  if (tensor_count < 0 || ckpt.epoch < 0) {
-    return Corrupt(path, "negative header field");
-  }
-  bool crc_ok = true;
-  for (int64_t t = 0; t < tensor_count; ++t) {
-    QuantTensor q;
-    uint8_t dtype_tag = 0;
-    if (!reader.Read(&dtype_tag) || !reader.Read(&q.rows) ||
-        !reader.Read(&q.cols)) {
-      return Corrupt(path, "truncated tensor header");
-    }
-    if (dtype_tag > static_cast<uint8_t>(TensorDtype::kBf16)) {
-      return Corrupt(path, "tensor " + std::to_string(t) +
-                               " has unknown dtype id " +
-                               std::to_string(dtype_tag));
-    }
-    q.dtype = static_cast<TensorDtype>(dtype_tag);
-    const size_t elem_bytes = DtypeBytes(q.dtype);
-    if (q.rows < 0 || q.cols < 0 ||
-        (q.cols > 0 &&
-         q.rows > static_cast<int64_t>(reader.remaining() / elem_bytes) /
-                      q.cols)) {
-      return Corrupt(path, "implausible tensor shape " +
-                               std::to_string(q.rows) + "x" +
-                               std::to_string(q.cols));
-    }
-    const size_t elems = static_cast<size_t>(q.rows * q.cols);
-    switch (q.dtype) {
-      case TensorDtype::kFloat32:
-        if (!reader.ReadArray(elems, &q.f32, &crc_ok)) {
-          return Corrupt(path, "truncated tensor payload");
-        }
-        break;
-      case TensorDtype::kInt8: {
-        int64_t scale_count = 0;
-        if (!reader.Read(&scale_count)) {
-          return Corrupt(path, "truncated scale count");
-        }
-        if (scale_count != q.rows) {
-          return Corrupt(path, "tensor " + std::to_string(t) +
-                                   " scale count " +
-                                   std::to_string(scale_count) +
-                                   " does not match rows " +
-                                   std::to_string(q.rows));
-        }
-        if (!reader.ReadArray(static_cast<size_t>(scale_count), &q.scales,
-                              &crc_ok)) {
-          return Corrupt(path, "truncated scale payload");
-        }
-        if (!crc_ok) {
-          return Corrupt(path, "tensor " + std::to_string(t) +
-                                   " scale checksum mismatch");
-        }
-        if (!reader.ReadArray(elems, &q.codes, &crc_ok)) {
-          return Corrupt(path, "truncated tensor payload");
-        }
-        break;
-      }
-      case TensorDtype::kBf16:
-        if (!reader.ReadArray(elems, &q.bf16, &crc_ok)) {
-          return Corrupt(path, "truncated tensor payload");
-        }
-        break;
-    }
-    if (!crc_ok) {
-      return Corrupt(path, "tensor " + std::to_string(t) +
-                               " checksum mismatch");
-    }
-    // Fill the fp32 view alongside the stored payload so every legacy
-    // consumer (LoadAllParameters, serve reload) reads v3 transparently.
-    ckpt.tensors.push_back(DequantizeTensor(q));
-    ckpt.quant_tensors.push_back(std::move(q));
-  }
-  if (reader.remaining() != 0) {
-    return Corrupt(path, std::to_string(reader.remaining()) +
-                             " unexpected trailing bytes");
-  }
-  return ckpt;
+  return WriteFile(
+      kMagicV3,
+      [&](BodyWriter& w) {
+        WriteHeader(w, kVersionV3, ckpt.epoch, /*flags=*/0, records.size());
+        for (const auto& r : records) WriteRecord(w, /*v3=*/true, r);
+      },
+      path);
 }
 
 }  // namespace
@@ -310,26 +334,12 @@ Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
   if (!ckpt.quant_tensors.empty()) {
     return SaveCheckpointV3(ckpt, path);
   }
-  if (ckpt.has_optimizer && (ckpt.opt_m.size() != ckpt.tensors.size() ||
-                             ckpt.opt_v.size() != ckpt.tensors.size())) {
-    return Status::InvalidArgument(
-        "optimizer moment count does not match tensor count");
-  }
-  std::string body;  // the footer-checksummed region
-  Append<uint32_t>(&body, kVersion);
-  Append<int64_t>(&body, ckpt.epoch);
-  const uint32_t flags = (ckpt.has_optimizer ? kHasOptimizer : 0) |
-                         (ckpt.has_rng ? kHasRng : 0) |
-                         (ckpt.has_train_state ? kHasTrain : 0);
-  Append<uint32_t>(&body, flags);
-  Append<int64_t>(&body, static_cast<int64_t>(ckpt.tensors.size()));
-  for (const auto& t : ckpt.tensors) {
-    Append<int64_t>(&body, t->rows());
-    Append<int64_t>(&body, t->cols());
-    AppendFloats(&body, t->data());
-  }
   if (ckpt.has_optimizer) {
-    Append<int64_t>(&body, ckpt.opt_step);
+    if (ckpt.opt_m.size() != ckpt.tensors.size() ||
+        ckpt.opt_v.size() != ckpt.tensors.size()) {
+      return Status::InvalidArgument(
+          "optimizer moment count does not match tensor count");
+    }
     for (size_t i = 0; i < ckpt.tensors.size(); ++i) {
       if (ckpt.opt_m[i].size() != ckpt.tensors[i]->data().size() ||
           ckpt.opt_v[i].size() != ckpt.tensors[i]->data().size()) {
@@ -337,23 +347,56 @@ Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
             "optimizer moment size does not match tensor " +
             std::to_string(i));
       }
-      AppendFloats(&body, ckpt.opt_m[i]);
-      AppendFloats(&body, ckpt.opt_v[i]);
     }
   }
-  if (ckpt.has_rng) {
-    Append<int64_t>(&body, static_cast<int64_t>(ckpt.rng_state.size()));
-    body.append(ckpt.rng_state);
-    Append<uint32_t>(&body,
-                     Crc32(ckpt.rng_state.data(), ckpt.rng_state.size()));
-  }
-  if (ckpt.has_train_state) {
-    Append<float>(&body, ckpt.best_loss);
-    Append<int32_t>(&body, ckpt.stall);
-    Append<float>(&body, ckpt.lr_scale);
-  }
+  const uint32_t flags = (ckpt.has_optimizer ? kHasOptimizer : 0) |
+                         (ckpt.has_rng ? kHasRng : 0) |
+                         (ckpt.has_train_state ? kHasTrain : 0);
+  return WriteFile(
+      kMagic,
+      [&](BodyWriter& w) {
+        WriteHeader(w, kVersion, ckpt.epoch, flags, ckpt.tensors.size());
+        for (const auto& t : ckpt.tensors) {
+          WriteRecord(w, /*v3=*/false,
+                      {.rows = t->rows(), .cols = t->cols(),
+                       .f32 = t->data().data()});
+        }
+        if (ckpt.has_optimizer) {
+          w.Put<int64_t>(ckpt.opt_step);
+          for (size_t i = 0; i < ckpt.tensors.size(); ++i) {
+            w.Array(ckpt.opt_m[i].data(), ckpt.opt_m[i].size());
+            w.Array(ckpt.opt_v[i].data(), ckpt.opt_v[i].size());
+          }
+        }
+        if (ckpt.has_rng) {
+          w.Put<int64_t>(static_cast<int64_t>(ckpt.rng_state.size()));
+          w.Array(ckpt.rng_state.data(), ckpt.rng_state.size());
+        }
+        if (ckpt.has_train_state) {
+          w.Put<float>(ckpt.best_loss);
+          w.Put<int32_t>(ckpt.stall);
+          w.Put<float>(ckpt.lr_scale);
+        }
+      },
+      path);
+}
 
-  return common::AtomicWriteFile(path, SealFile(kMagic, body), "ckpt.write");
+Status SaveTensorRecord(const TensorRecordView& record,
+                        const std::string& path) {
+  if (record.rows <= 0 || record.cols <= 0) {
+    return Status::InvalidArgument("cannot save an empty " +
+                                   std::to_string(record.rows) + "x" +
+                                   std::to_string(record.cols) + " tensor");
+  }
+  const bool v3 = record.dtype != TensorDtype::kFloat32;
+  return WriteFile(
+      v3 ? kMagicV3 : kMagic,
+      [&](BodyWriter& w) {
+        WriteHeader(w, v3 ? kVersionV3 : kVersion, /*epoch=*/0, /*flags=*/0,
+                    /*tensor_count=*/1);
+        WriteRecord(w, v3, record);
+      },
+      path);
 }
 
 bool IsVersionedCheckpoint(const std::string& path) {
@@ -364,122 +407,119 @@ bool IsVersionedCheckpoint(const std::string& path) {
                 std::memcmp(magic, kMagicV3, kMagicV3Len) == 0);
 }
 
-Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
+Result<CheckpointEnvelope> ValidateCheckpointEnvelope(
+    std::string_view file, const std::string& path) {
+  const bool is_v3 =
+      file.size() >= kMagicV3Len &&
+      std::memcmp(file.data(), kMagicV3, kMagicV3Len) == 0;
+  if (file.size() < kMagicLen + kFooterLen ||
+      (!is_v3 && std::memcmp(file.data(), kMagic, kMagicLen) != 0)) {
+    return Status::IoError(path + " is not a DESAlign checkpoint");
+  }
+  if (std::memcmp(file.data() + file.size() - kEndMarkerLen, kEndMarker,
+                  kEndMarkerLen) != 0) {
+    return Corrupt(path, "missing end marker (torn write?)");
+  }
+  const size_t body_len = file.size() - kMagicLen - kFooterLen;
+  uint32_t footer_crc = 0;
+  std::memcpy(&footer_crc, file.data() + kMagicLen + body_len,
+              sizeof(footer_crc));
+  if (Crc32(file.data() + kMagicLen, body_len) != footer_crc) {
+    return Corrupt(path, "footer checksum mismatch");
+  }
+  CheckpointEnvelope envelope;
+  envelope.body = file.substr(kMagicLen, body_len);
+  envelope.v3 = is_v3;
+  return envelope;
+}
+
+Result<CheckpointRecords> ParseCheckpoint(const std::string& path) {
   std::string bytes;
   DESALIGN_RETURN_NOT_OK(
       common::ReadFileToString(path, &bytes, "ckpt.read"));
 
+  CheckpointRecords out;
   if (bytes.size() >= kLegacyMagicLen &&
       std::memcmp(bytes.data(), kLegacyMagic, kLegacyMagicLen) == 0) {
     // Legacy SaveParameters file: params only, pre-checksum era.
     DESALIGN_ASSIGN_OR_RETURN(auto tensors, LoadAllParameters(path));
-    TrainingCheckpoint ckpt;
-    ckpt.tensors = std::move(tensors);
-    return ckpt;
+    for (const auto& t : tensors) {
+      QuantTensor q;
+      q.rows = t->rows();
+      q.cols = t->cols();
+      q.f32 = std::move(t->data());
+      out.records.push_back(std::move(q));
+    }
+    return out;
   }
-  const bool is_v3 =
-      bytes.size() >= kMagicV3Len &&
-      std::memcmp(bytes.data(), kMagicV3, kMagicV3Len) == 0;
-  if (bytes.size() < kMagicLen + sizeof(uint32_t) + kEndMarkerLen ||
-      (!is_v3 && std::memcmp(bytes.data(), kMagic, kMagicLen) != 0)) {
-    return Status::IoError(path + " is not a DESAlign checkpoint");
-  }
-  if (std::memcmp(bytes.data() + bytes.size() - kEndMarkerLen, kEndMarker,
-                  kEndMarkerLen) != 0) {
-    return Corrupt(path, "missing end marker (torn write?)");
-  }
-  const size_t body_len =
-      bytes.size() - kMagicLen - sizeof(uint32_t) - kEndMarkerLen;
-  uint32_t footer_crc = 0;
-  std::memcpy(&footer_crc, bytes.data() + kMagicLen + body_len,
-              sizeof(footer_crc));
-  if (Crc32(bytes.data() + kMagicLen, body_len) != footer_crc) {
-    return Corrupt(path, "footer checksum mismatch");
-  }
-
-  ByteReader reader(std::string_view(bytes).substr(kMagicLen, body_len));
-  if (is_v3) return LoadCheckpointV3(path, reader);
+  DESALIGN_ASSIGN_OR_RETURN(const CheckpointEnvelope envelope,
+                            ValidateCheckpointEnvelope(bytes, path));
+  out.v3 = envelope.v3;
+  ByteReader reader(envelope.body);
+  TrainingCheckpoint& state = out.state;
   uint32_t version = 0;
   uint32_t flags = 0;
   int64_t tensor_count = 0;
-  TrainingCheckpoint ckpt;
-  if (!reader.Read(&version) || !reader.Read(&ckpt.epoch) ||
+  if (!reader.Read(&version) || !reader.Read(&state.epoch) ||
       !reader.Read(&flags) || !reader.Read(&tensor_count)) {
     return Corrupt(path, "truncated header");
   }
-  if (version != kVersion) {
+  if (version != (out.v3 ? kVersionV3 : kVersion)) {
     return Status::IoError(path + " has unsupported checkpoint version " +
                            std::to_string(version));
   }
-  if (tensor_count < 0 || ckpt.epoch < 0) {
+  if (out.v3 && flags != 0) {
+    return Corrupt(path, "v3 checkpoint with nonzero flags " +
+                             std::to_string(flags));
+  }
+  if (tensor_count < 0 || state.epoch < 0) {
     return Corrupt(path, "negative header field");
   }
-  bool crc_ok = true;
   for (int64_t t = 0; t < tensor_count; ++t) {
-    int64_t rows = 0;
-    int64_t cols = 0;
-    if (!reader.Read(&rows) || !reader.Read(&cols)) {
-      return Corrupt(path, "truncated tensor header");
-    }
-    if (rows < 0 || cols < 0 ||
-        (cols > 0 &&
-         rows > static_cast<int64_t>(reader.remaining() / sizeof(float)) /
-                    cols)) {
-      return Corrupt(path, "implausible tensor shape " +
-                               std::to_string(rows) + "x" +
-                               std::to_string(cols));
-    }
-    std::vector<float> data;
-    if (!reader.ReadFloats(static_cast<size_t>(rows * cols), &data,
-                           &crc_ok)) {
-      return Corrupt(path, "truncated tensor payload");
-    }
-    if (!crc_ok) {
-      return Corrupt(path, "tensor " + std::to_string(t) +
-                               " checksum mismatch");
-    }
-    ckpt.tensors.push_back(
-        tensor::Tensor::FromData(rows, cols, std::move(data)));
+    QuantTensor q;
+    DESALIGN_RETURN_NOT_OK(ReadRecord(reader, out.v3, t, path, &q));
+    out.records.push_back(std::move(q));
   }
+  bool crc_ok = true;
   if (flags & kHasOptimizer) {
-    ckpt.has_optimizer = true;
-    if (!reader.Read(&ckpt.opt_step)) {
+    state.has_optimizer = true;
+    if (!reader.Read(&state.opt_step)) {
       return Corrupt(path, "truncated optimizer step");
     }
-    for (int64_t t = 0; t < tensor_count; ++t) {
-      const size_t n = ckpt.tensors[static_cast<size_t>(t)]->data().size();
+    for (size_t t = 0; t < out.records.size(); ++t) {
+      const size_t n = out.records[t].f32.size();
       std::vector<float> m;
       std::vector<float> v;
-      if (!reader.ReadFloats(n, &m, &crc_ok) || !crc_ok) {
+      if (!reader.ReadArray(n, &m, &crc_ok) || !crc_ok) {
         return Corrupt(path, "bad optimizer m for tensor " +
                                  std::to_string(t));
       }
-      if (!reader.ReadFloats(n, &v, &crc_ok) || !crc_ok) {
+      if (!reader.ReadArray(n, &v, &crc_ok) || !crc_ok) {
         return Corrupt(path, "bad optimizer v for tensor " +
                                  std::to_string(t));
       }
-      ckpt.opt_m.push_back(std::move(m));
-      ckpt.opt_v.push_back(std::move(v));
+      state.opt_m.push_back(std::move(m));
+      state.opt_v.push_back(std::move(v));
     }
   }
   if (flags & kHasRng) {
-    ckpt.has_rng = true;
+    state.has_rng = true;
     int64_t len = 0;
     if (!reader.Read(&len) || len < 0 ||
         static_cast<size_t>(len) > reader.remaining() ||
-        !reader.ReadString(static_cast<size_t>(len), &ckpt.rng_state)) {
+        !reader.ReadString(static_cast<size_t>(len), &state.rng_state)) {
       return Corrupt(path, "truncated rng state");
     }
     uint32_t stored = 0;
     if (!reader.Read(&stored) ||
-        stored != Crc32(ckpt.rng_state.data(), ckpt.rng_state.size())) {
+        stored != Crc32(state.rng_state.data(), state.rng_state.size())) {
       return Corrupt(path, "rng state checksum mismatch");
     }
   }
   if (flags & kHasTrain) {
-    ckpt.has_train_state = true;
-    if (!reader.Read(&ckpt.best_loss) || !reader.Read(&ckpt.stall) ||
-        !reader.Read(&ckpt.lr_scale)) {
+    state.has_train_state = true;
+    if (!reader.Read(&state.best_loss) || !reader.Read(&state.stall) ||
+        !reader.Read(&state.lr_scale)) {
       return Corrupt(path, "truncated train state");
     }
   }
@@ -487,6 +527,23 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
     return Corrupt(path, std::to_string(reader.remaining()) +
                              " unexpected trailing bytes");
   }
+  return out;
+}
+
+Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
+  DESALIGN_ASSIGN_OR_RETURN(CheckpointRecords parsed, ParseCheckpoint(path));
+  TrainingCheckpoint ckpt = std::move(parsed.state);
+  ckpt.tensors.reserve(parsed.records.size());
+  for (QuantTensor& q : parsed.records) {
+    // A v3 record keeps its stored payload and gains a dequantized fp32
+    // view, so every legacy consumer (LoadAllParameters, LoadParameters)
+    // reads v3 transparently; v1/v2 records are fp32 and move in as is.
+    ckpt.tensors.push_back(
+        parsed.v3 ? DequantizeTensor(q)
+                  : tensor::Tensor::FromData(q.rows, q.cols,
+                                             std::move(q.f32)));
+  }
+  if (parsed.v3) ckpt.quant_tensors = std::move(parsed.records);
   return ckpt;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -71,6 +72,59 @@ common::Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path);
 /// True when `path` starts with the v2 or v3 checkpoint magic. Missing or
 /// short files report false.
 bool IsVersionedCheckpoint(const std::string& path);
+
+/// A checkpoint as stored: every tensor record in its on-disk dtype (v1
+/// and v2 records are all kFloat32, in `f32`) plus the optional training
+/// sections, which land in `state` — whose `tensors` and `quant_tensors`
+/// stay empty.
+struct CheckpointRecords {
+  bool v3 = false;
+  std::vector<QuantTensor> records;
+  TrainingCheckpoint state;
+};
+
+/// The record-level parse of the checkpoint format, and the only one:
+/// LoadCheckpoint adds its fp32 Tensor views on top, and
+/// serve::EmbeddingStore::Load moves one record's payload straight into
+/// its table. Reads `path` once (fault site "ckpt.read") and validates it
+/// exactly as LoadCheckpoint does — every corrupt input gets the same
+/// Status — but builds no Tensor for v2/v3 files.
+common::Result<CheckpointRecords> ParseCheckpoint(const std::string& path);
+
+/// The footer-checksummed body of a v2/v3 checkpoint file held in memory.
+struct CheckpointEnvelope {
+  std::string_view body;  ///< bytes between the magic and the footer CRC
+  bool v3 = false;
+};
+
+/// Checks the envelope of `file`, the bytes of `path`: the v2/v3 magic,
+/// the end marker and the footer CRC32 over the body. An IoError naming
+/// `path` otherwise. Shared by ParseCheckpoint and
+/// serve::CheckpointRowSource::Open.
+common::Result<CheckpointEnvelope> ValidateCheckpointEnvelope(
+    std::string_view file, const std::string& path);
+
+/// A borrowed tensor payload in its storage dtype: what one checkpoint
+/// record holds. Only the pointer(s) matching `dtype` are read; each must
+/// cover rows * cols elements (`scales`: rows).
+struct TensorRecordView {
+  TensorDtype dtype = TensorDtype::kFloat32;
+  int64_t rows = 0;
+  int64_t cols = 0;
+  const float* f32 = nullptr;
+  const int8_t* codes = nullptr;
+  const float* scales = nullptr;
+  const uint16_t* bf16 = nullptr;
+};
+
+/// Writes `record` as a params-only, epoch-0 checkpoint: v2 when it is
+/// fp32, v3 otherwise. The bytes equal SaveCheckpoint's for the
+/// equivalent TrainingCheckpoint (one fp32 tensor, or one quant tensor),
+/// written through the same record writer, but no Tensor or payload copy
+/// is made: the file is built in one buffer of its exact size. Empty
+/// records are rejected with InvalidArgument. Fault site "ckpt.write".
+common::Status SaveTensorRecord(const TensorRecordView& record,
+                                const std::string& path);
 
 /// Rotating last-K checkpoint directory with a manifest. Files are named
 /// `ckpt_<epoch>.dckpt`; `MANIFEST` lists them oldest-first and is itself

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "nn/checkpoint.h"
-#include "nn/serialize.h"
 #include "serve/stats.h"
 
 namespace desalign::serve {
@@ -22,24 +21,17 @@ const std::shared_ptr<const EmbeddingTable>& EmptyTable() {
   return empty;
 }
 
+// Quantized payloads move in verbatim: codes and scales round-trip
+// bit-exactly, and re-normalizing a dequantized view would perturb scores.
 std::shared_ptr<const EmbeddingTable> TableFromQuantTensor(
-    const nn::QuantTensor& q) {
+    nn::QuantTensor&& q) {
   auto table = std::make_shared<EmbeddingTable>();
   table->rows = q.rows;
   table->cols = q.cols;
   table->dtype = q.dtype;
-  switch (q.dtype) {
-    case nn::TensorDtype::kFloat32:
-      table->data = q.f32;
-      break;
-    case nn::TensorDtype::kInt8:
-      table->codes = q.codes;
-      table->scales = q.scales;
-      break;
-    case nn::TensorDtype::kBf16:
-      table->bf16 = q.bf16;
-      break;
-  }
+  table->codes = std::move(q.codes);
+  table->scales = std::move(q.scales);
+  table->bf16 = std::move(q.bf16);
   return table;
 }
 
@@ -165,55 +157,37 @@ EmbeddingStore EmbeddingStore::FromRows(int64_t rows, int64_t cols,
 
 common::Status EmbeddingStore::Save(const std::string& path) const {
   const auto table = SharedTable();
-  nn::TrainingCheckpoint ckpt;
-  if (table->dtype == nn::TensorDtype::kFloat32) {
-    ckpt.tensors.push_back(
-        tensor::Tensor::FromData(table->rows, table->cols, table->data));
-  } else {
-    nn::QuantTensor q;
-    q.dtype = table->dtype;
-    q.rows = table->rows;
-    q.cols = table->cols;
-    q.codes = table->codes;
-    q.scales = table->scales;
-    q.bf16 = table->bf16;
-    ckpt.quant_tensors.push_back(std::move(q));
-  }
-  return nn::SaveCheckpoint(ckpt, path);
+  return nn::SaveTensorRecord({.dtype = table->dtype,
+                               .rows = table->rows,
+                               .cols = table->cols,
+                               .f32 = table->data.data(),
+                               .codes = table->codes.data(),
+                               .scales = table->scales.data(),
+                               .bf16 = table->bf16.data()},
+                              path);
 }
 
 common::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path,
                                                     int64_t tensor_index) {
-  DESALIGN_ASSIGN_OR_RETURN(auto ckpt, nn::LoadCheckpoint(path));
-  const auto& tensors = ckpt.tensors;
+  DESALIGN_ASSIGN_OR_RETURN(auto parsed, nn::ParseCheckpoint(path));
+  auto& records = parsed.records;
   if (tensor_index < 0 ||
-      tensor_index >= static_cast<int64_t>(tensors.size())) {
+      tensor_index >= static_cast<int64_t>(records.size())) {
     return common::Status::InvalidArgument(
-        "checkpoint " + path + " holds " + std::to_string(tensors.size()) +
+        "checkpoint " + path + " holds " + std::to_string(records.size()) +
         " tensors; index " + std::to_string(tensor_index) +
         " is out of range");
   }
-  // v3 checkpoints carry the stored dtype alongside the fp32 view; adopt
-  // quantized records verbatim so codes and scales round-trip bit-exactly
-  // (re-normalizing a dequantized view would silently perturb scores).
-  if (!ckpt.quant_tensors.empty()) {
-    const auto& q = ckpt.quant_tensors[static_cast<size_t>(tensor_index)];
-    if (q.rows <= 0 || q.cols <= 0) {
-      return common::Status::InvalidArgument(
-          "checkpoint tensor " + std::to_string(tensor_index) +
-          " is empty; cannot serve from it");
-    }
-    if (q.dtype != nn::TensorDtype::kFloat32) {
-      return EmbeddingStore(TableFromQuantTensor(q));
-    }
-  }
-  const auto& t = tensors[static_cast<size_t>(tensor_index)];
-  if (t->rows() <= 0 || t->cols() <= 0) {
+  nn::QuantTensor& q = records[static_cast<size_t>(tensor_index)];
+  if (q.rows <= 0 || q.cols <= 0) {
     return common::Status::InvalidArgument(
         "checkpoint tensor " + std::to_string(tensor_index) +
         " is empty; cannot serve from it");
   }
-  return EmbeddingStore(t->rows(), t->cols(), t->data());
+  if (q.dtype == nn::TensorDtype::kFloat32) {
+    return EmbeddingStore(q.rows, q.cols, std::move(q.f32));
+  }
+  return EmbeddingStore(TableFromQuantTensor(std::move(q)));
 }
 
 common::Result<EmbeddingStore> EmbeddingStore::Quantize(

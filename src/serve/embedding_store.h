@@ -131,7 +131,9 @@ class EmbeddingStore {
   /// v3 (dtype-tagged) for quantized ones. Either way the file is
   /// checksummed and atomically published, and loadable with `Load` below
   /// (and, for any dtype, with `nn::LoadAllParameters`, which sees the
-  /// dequantized fp32 view).
+  /// dequantized fp32 view). The record is written straight from the
+  /// table (nn::SaveTensorRecord): the only extra memory is the encoded
+  /// file. An empty store is rejected with InvalidArgument.
   common::Status Save(const std::string& path) const;
 
   /// Restores a store from checkpoint tensor `tensor_index` of `path`.
@@ -141,6 +143,10 @@ class EmbeddingStore {
   /// checkpoint holds raw embeddings; quantized v3 records are adopted
   /// verbatim — codes and scales round-trip bit-exactly, and
   /// re-normalizing their dequantized view would silently perturb scores.
+  /// The file goes through nn::ParseCheckpoint, the same validation as
+  /// nn::LoadCheckpoint, and the record's payload vectors move into the
+  /// table: peak memory is the encoded file plus its payload, and no
+  /// Tensor or fp32 view of a quantized record is built.
   static common::Result<EmbeddingStore> Load(const std::string& path,
                                              int64_t tensor_index = 0);
 

@@ -50,11 +50,12 @@ class SnapshotRowSource : public RowSource {
 
 /// A RowSource that reads fp32 rows on demand (pread, no seek state) from
 /// tensor 0 of a v2 checkpoint or an fp32 record of a v3 checkpoint on
-/// disk. Open() reads the file once to verify the envelope — magic,
-/// version, end marker, footer CRC32 over the whole body — and to locate
-/// the tensor-0 payload; after that only the requested rows are read, so
-/// the resident cost of full-precision re-ranking is the page cache
-/// working set of the re-ranked candidates, not the fp32 table.
+/// disk. Open() reads the file once (fault site "ckpt.read") to verify
+/// the envelope with nn::ValidateCheckpointEnvelope — magic, end marker,
+/// footer CRC32 over the whole body — and to locate the tensor-0 payload;
+/// after that only the requested rows are read, so the resident cost of
+/// full-precision re-ranking is the page cache working set of the
+/// re-ranked candidates, not the fp32 table.
 ///
 /// Row() trusts the kernel for reads after the open-time validation; a
 /// file replaced in place (rather than atomically, as the checkpoint

@@ -55,13 +55,10 @@ int BufferPool::BucketForRequest(size_t n) {
 }
 
 int BufferPool::BucketForCapacity(size_t capacity) {
-  if (capacity == 0) return -1;
-  const int floor_log2 = static_cast<int>(std::bit_width(capacity)) - 1;
-  if (floor_log2 < kMinCapacityLog2) return -1;
-  const int bucket = floor_log2 - kMinCapacityLog2;
-  // Oversized buffers live in the top bucket: their capacity still covers
-  // every request routed there.
-  return bucket < kNumBuckets ? bucket : kNumBuckets - 1;
+  if (!std::has_single_bit(capacity)) return -1;
+  const int bucket = static_cast<int>(std::bit_width(capacity)) - 1 -
+                     kMinCapacityLog2;
+  return bucket >= 0 && bucket < kNumBuckets ? bucket : -1;
 }
 
 std::vector<float> BufferPool::Acquire(size_t n, bool zero) {
@@ -146,6 +143,7 @@ void BufferPool::Release(std::vector<float>&& buf) {
       return stats_.cached_bytes;
     }()));
   }
+  if (!cached) buf = std::vector<float>();  // free outside the lock
 }
 
 bool BufferPool::enabled() const {

@@ -20,6 +20,14 @@ namespace desalign::tensor::kernels {
 /// temporaries in steady state. Hit/miss/release/discard counts are exported
 /// through obs::MetricsRegistry as `tensor.pool.*`.
 ///
+/// Memory bound: the pool caches only buffers whose capacity is exactly a
+/// bucket's capacity — the size Acquire allocates — and frees every other
+/// buffer it is handed (a vector Tensor::FromData adopted, say), counting
+/// it as a discard. Acquire allocates in a bucket only when that bucket's
+/// free list is empty, so bucket b never caches more buffers than were
+/// live in b at one time. (A foreign vector whose capacity happens to be
+/// exactly a bucket size is cached like a pooled one.)
+///
 /// Determinism: the pool only changes *where* a buffer's memory comes from,
 /// never its contents as observed by kernels — `zero=true` acquisitions are
 /// always fully zeroed, and `zero=false` acquisitions are only handed to
@@ -31,7 +39,8 @@ class BufferPool {
     int64_t hits = 0;       // Acquire served from a free list
     int64_t misses = 0;     // Acquire fell through to operator new
     int64_t releases = 0;   // buffers returned and cached
-    int64_t discards = 0;   // buffers returned but dropped (tiny/full bucket)
+    int64_t discards = 0;   // buffers returned but freed (not bucket-sized,
+                            // or the bucket is full)
     int64_t cached_buffers = 0;
     int64_t cached_bytes = 0;
 
@@ -55,8 +64,10 @@ class BufferPool {
   /// reading. Falls back to a plain allocation when the pool is disabled.
   std::vector<float> Acquire(size_t n, bool zero);
 
-  /// Returns a buffer to the pool (or frees it when disabled, undersized,
-  /// or the bucket is full). Safe to call with a moved-from/empty vector.
+  /// Returns a buffer to the pool. It is cached only when its capacity is
+  /// exactly a bucket size; otherwise — and when the pool is disabled or
+  /// the bucket is full — it is freed. `buf` is empty on return either
+  /// way. Safe to call with a moved-from/empty vector.
   void Release(std::vector<float>&& buf);
 
   /// When disabled, Acquire allocates fresh zeroed storage and Release
@@ -79,11 +90,10 @@ class BufferPool {
   static constexpr int kMinCapacityLog2 = 8;
   static constexpr int kNumBuckets = 24;
   // Per-bucket count cap. Deliberately generous: an autograd step keeps its
-  // whole graph (often thousands of small tensors) live until backward
+  // forward graph (often thousands of small tensors) live until backward
   // finishes, and a bucket must absorb that peak for the next step to run
-  // allocation-free. Cached memory stays bounded regardless — every cached
-  // buffer was live at some point, so the pool never holds more than the
-  // historic peak working set. Clear() trims it explicitly.
+  // allocation-free. Cached memory is bounded by the invariant in the class
+  // comment, not by this cap. Clear() trims it explicitly.
   static constexpr size_t kMaxBuffersPerBucket = 4096;
 
  private:
@@ -91,8 +101,8 @@ class BufferPool {
   // Smallest bucket whose capacity holds `n` floats, or -1 when n exceeds
   // the largest bucket (the request bypasses the pool).
   static int BucketForRequest(size_t n);
-  // Largest bucket whose capacity is <= `capacity` — any cached buffer in
-  // bucket b can serve any request routed to b. -1 for tiny buffers.
+  // The bucket whose capacity is exactly `capacity`, or -1 when `capacity`
+  // is not a bucket size (the buffer was not allocated by Acquire).
   static int BucketForCapacity(size_t capacity);
 
   mutable common::Mutex mutex_;

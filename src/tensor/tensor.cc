@@ -49,14 +49,24 @@ TensorPtr Tensor::CreateUninitialized(int64_t rows, int64_t cols,
                                   /*zero_init=*/false);
 }
 
+Tensor::Tensor(int64_t rows, int64_t cols, std::vector<float> data,
+               bool requires_grad)
+    : rows_(rows),
+      cols_(cols),
+      requires_grad_(requires_grad),
+      data_(std::move(data)) {
+  DESALIGN_CHECK_GT(rows, 0);
+  DESALIGN_CHECK_GT(cols, 0);
+  DESALIGN_CHECK_EQ(static_cast<int64_t>(data_.size()), rows * cols);
+}
+
 TensorPtr Tensor::FromData(int64_t rows, int64_t cols,
                            std::vector<float> data, bool requires_grad) {
-  DESALIGN_CHECK_EQ(static_cast<int64_t>(data.size()), rows * cols);
-  auto t = CreateUninitialized(rows, cols, requires_grad);
-  // The adopted buffer replaces the pooled one, which goes back to the pool.
-  kernels::BufferPool::Global().Release(std::move(t->data_));
-  t->data_ = std::move(data);
-  return t;
+  // Adopted directly: the pool is neither asked for a buffer nor handed
+  // one, and on destruction it frees the vector unless its capacity is
+  // exactly a bucket size.
+  return std::shared_ptr<Tensor>(new Tensor(rows, cols, std::move(data),
+                                            requires_grad));
 }
 
 TensorPtr Tensor::Zeros(int64_t rows, int64_t cols, bool requires_grad) {
@@ -120,11 +130,16 @@ void Tensor::Backward() {
     }
   }
   grad().assign(1, 1.0f);
+  auto& pool = kernels::BufferPool::Global();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     Tensor* node = *it;
     if (node->backward_fn_ && node->has_grad()) {
       node->backward_fn_();
     }
+    // In reverse topological order every consumer of `node` has already
+    // accumulated into its gradient, and its own closure was the last
+    // reader, so a non-leaf gradient can go back to the pool now.
+    if (!node->requires_grad_) pool.Release(std::move(node->grad_));
   }
 }
 

@@ -34,7 +34,8 @@ class Tensor {
   static TensorPtr CreateUninitialized(int64_t rows, int64_t cols,
                                        bool requires_grad = false);
 
-  /// Creates a tensor adopting `data` (size must equal rows*cols).
+  /// Creates a tensor adopting `data` (size must equal rows*cols). The
+  /// vector is moved in as is; no pool buffer is involved.
   static TensorPtr FromData(int64_t rows, int64_t cols,
                             std::vector<float> data,
                             bool requires_grad = false);
@@ -88,7 +89,10 @@ class Tensor {
 
   /// Runs reverse-mode differentiation from this node, which must be a
   /// scalar (1x1). Accumulates into the `grad()` buffers of all reachable
-  /// nodes that need gradients.
+  /// leaves (`requires_grad()` nodes). Each non-leaf gradient is released
+  /// to the pool as soon as its node's backward closure has run, so after
+  /// Backward every non-leaf node — this one included — reports
+  /// `has_grad() == false`; call Backward once per graph.
   void Backward();
 
   /// Clears the gradient buffer (keeps allocation).
@@ -107,6 +111,9 @@ class Tensor {
   std::string ToString() const;
 
  private:
+  Tensor(int64_t rows, int64_t cols, std::vector<float> data,
+         bool requires_grad);
+
   int64_t rows_;
   int64_t cols_;
   bool requires_grad_;

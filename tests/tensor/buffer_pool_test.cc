@@ -78,6 +78,24 @@ TEST(BufferPoolTest, SubBucketExternalBuffersAreDiscarded) {
   EXPECT_EQ(stats.cached_buffers, 0);
 }
 
+TEST(BufferPoolTest, ForeignBufferBetweenBucketsIsDiscarded) {
+  // A vector sized by its owner (a 20 000 x 128 table adopted by
+  // Tensor::FromData, say) has a capacity no Acquire asks for: requests of
+  // its size route to the next bucket up. Caching it would hold its memory
+  // forever, so Release frees it.
+  BufferPool pool;
+  pool.Release(pool.Acquire(1000, /*zero=*/false));
+  const auto before = pool.GetStats();
+  std::vector<float> foreign(1000, 1.0f);
+  ASSERT_EQ(foreign.capacity(), 1000u);
+  pool.Release(std::move(foreign));
+  const auto after = pool.GetStats();
+  EXPECT_EQ(after.discards, before.discards + 1);
+  EXPECT_EQ(after.releases, before.releases);
+  EXPECT_EQ(after.cached_buffers, before.cached_buffers);
+  EXPECT_EQ(after.cached_bytes, before.cached_bytes);
+}
+
 TEST(BufferPoolTest, FullBucketDiscardsExtraReleases) {
   BufferPool pool;
   std::vector<std::vector<float>> live;
@@ -166,6 +184,20 @@ TEST(BufferPoolTest, PooledBufferRoundTripsThroughGlobalPool) {
   }
   const auto after = pool.GetStats();
   EXPECT_EQ(after.hits, before.hits + 1);
+}
+
+TEST(BufferPoolTest, FromDataAdoptsWithoutTouchingThePool) {
+  auto& pool = BufferPool::Global();
+  const auto before = pool.GetStats();
+  auto t = Tensor::FromData(20, 50, std::vector<float>(1000, 0.5f));
+  const auto adopted = pool.GetStats();
+  EXPECT_EQ(adopted.hits, before.hits);
+  EXPECT_EQ(adopted.misses, before.misses);
+  // 1000 floats is no bucket size: on destruction the vector is freed.
+  t.reset();
+  const auto freed = pool.GetStats();
+  EXPECT_EQ(freed.discards, adopted.discards + 1);
+  EXPECT_EQ(freed.cached_bytes, adopted.cached_bytes);
 }
 
 TEST(BufferPoolTest, TensorStorageComesFromTheGlobalPool) {

@@ -1,8 +1,14 @@
 #include "tensor/tensor.h"
 
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "tensor/init.h"
 #include "tensor/ops.h"
+#include "testing/grad_check.h"
 
 namespace desalign::tensor {
 namespace {
@@ -70,6 +76,44 @@ TEST(TensorTest, BackwardDiamondGraph) {
   auto y = Mul(a, b);  // y = 6x^2, dy/dx = 12x = 18
   y->Backward();
   EXPECT_FLOAT_EQ(x->grad()[0], 18.0f);
+}
+
+TEST(TensorTest, BackwardReleasesEveryNonLeafGradient) {
+  // `h` feeds three consumers, so its gradient must outlive all three
+  // accumulations; after Backward no intermediate node holds a gradient,
+  // while the leaves keep theirs — the values the gradcheck verifies.
+  common::Rng rng(17);
+  auto x = Tensor::Create(4, 3);  // constant input: never gets a gradient
+  auto w = Tensor::Create(3, 2, /*requires_grad=*/true);
+  auto b = Tensor::Create(1, 2, /*requires_grad=*/true);
+  FillNormal(*x, rng);
+  FillNormal(*w, rng);
+  FillNormal(*b, rng);
+  const auto program = [&] {
+    auto h = AddRowVector(MatMul(x, w), b);
+    return Sum(Add(Mul(h, Tanh(h)), Square(h)));
+  };
+  auto loss = program();
+  loss->Backward();
+
+  std::vector<const Tensor*> stack = {loss.get()};
+  std::set<const Tensor*> seen;
+  int non_leaves = 0;
+  while (!stack.empty()) {
+    const Tensor* node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node).second) continue;
+    if (!node->parents().empty()) {
+      EXPECT_FALSE(node->has_grad()) << node->ToString();
+      ++non_leaves;
+    }
+    for (const auto& p : node->parents()) stack.push_back(p.get());
+  }
+  EXPECT_EQ(non_leaves, 7);  // MatMul AddRowVector Tanh Mul Square Add Sum
+  EXPECT_TRUE(w->has_grad());
+  EXPECT_TRUE(b->has_grad());
+  EXPECT_FALSE(x->has_grad());
+  desalign::testing::CheckGradients({w, b}, program);
 }
 
 TEST(TensorTest, ZeroGradClears) {

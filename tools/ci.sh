@@ -38,6 +38,11 @@
 #                          # zero shed below capacity, goodput under 2x
 #                          # overload >= 0.8x the 1x goodput, recovery to
 #                          # healthy with bit-exact results)
+#   tools/ci.sh --benchmark # only the benchmark gate: `benchmark/run.sh
+#                          # --seconds 4` must report "correct": true, and
+#                          # serve-int8-reload's peak_rss_mb at --seconds 16
+#                          # must be within 5% of its value at --seconds 4
+#                          # (memory must not grow with the reload count)
 #
 # Test labels (see tests/CMakeLists.txt):
 #   unit        — fast, hermetic, single-component tests
@@ -61,41 +66,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc)"
 
-run_lint=1
-run_analyze=1
-run_tier1=1
-run_index=1
-run_quant=1
-run_tune=1
-run_overload=1
-run_ubsan=1
-run_tsan=1
-run_faults=1
+stages=(lint analyze tier1 index quant tune overload benchmark ubsan tsan
+        faults)
+for stage in "${stages[@]}"; do declare "run_${stage}=1"; done
 case "${1:-}" in
-  lint) run_analyze=0; run_tier1=0; run_index=0; run_quant=0; run_tune=0
-        run_overload=0; run_ubsan=0; run_tsan=0; run_faults=0 ;;
-  --analyze) run_lint=0; run_tier1=0; run_index=0; run_quant=0; run_tune=0
-             run_overload=0; run_ubsan=0; run_tsan=0; run_faults=0 ;;
-  ubsan) run_lint=0; run_analyze=0; run_tier1=0; run_index=0; run_quant=0
-         run_tune=0; run_overload=0; run_tsan=0; run_faults=0 ;;
-  --tier1) run_lint=0; run_analyze=0; run_index=0; run_quant=0; run_tune=0
-           run_overload=0; run_ubsan=0; run_tsan=0; run_faults=0 ;;
-  --index) run_lint=0; run_analyze=0; run_tier1=0; run_quant=0; run_tune=0
-           run_overload=0; run_ubsan=0; run_tsan=0; run_faults=0 ;;
-  --quant) run_lint=0; run_analyze=0; run_tier1=0; run_index=0; run_tune=0
-           run_overload=0; run_ubsan=0; run_tsan=0; run_faults=0 ;;
-  --tune) run_lint=0; run_analyze=0; run_tier1=0; run_index=0; run_quant=0
-          run_overload=0; run_ubsan=0; run_tsan=0; run_faults=0 ;;
-  --overload) run_lint=0; run_analyze=0; run_tier1=0; run_index=0
-              run_quant=0; run_tune=0; run_ubsan=0; run_tsan=0
-              run_faults=0 ;;
-  --tsan) run_lint=0; run_analyze=0; run_tier1=0; run_index=0; run_quant=0
-          run_tune=0; run_overload=0; run_ubsan=0; run_faults=0 ;;
-  --faults) run_lint=0; run_analyze=0; run_tier1=0; run_index=0
-            run_quant=0; run_tune=0; run_overload=0; run_ubsan=0
-            run_tsan=0 ;;
   "") ;;
-  *) echo "usage: tools/ci.sh [lint|--analyze|ubsan|--tier1|--index|--quant|--tune|--overload|--tsan|--faults]" >&2
+  lint | ubsan | --analyze | --tier1 | --index | --quant | --tune | \
+    --overload | --benchmark | --tsan | --faults)
+    for stage in "${stages[@]}"; do declare "run_${stage}=0"; done
+    declare "run_${1#--}=1" ;;
+  *) echo "usage: tools/ci.sh [lint|--analyze|ubsan|--tier1|--index|--quant|--tune|--overload|--benchmark|--tsan|--faults]" >&2
      exit 2 ;;
 esac
 
@@ -391,6 +371,59 @@ print(f"overload smoke OK: capacity {report['capacity_qps']:.0f} qps, "
       f"goodput@2x {two['goodput_qps']:.0f} >= 0.8x goodput@1x "
       f"{one['goodput_qps']:.0f}, p99 bounded, recovery healthy+bitexact "
       f"in {rec['recover_ms']:.0f} ms")
+EOF
+fi
+
+if [[ "${run_benchmark}" == 1 ]]; then
+  echo "== benchmark: every workload correct + int8 reload memory flat =="
+  # Only invokes benchmark/ (run.sh builds its own tree, build-bench/);
+  # nothing there is edited. Catches a broken driver build or a failed
+  # correctness check before review, and a peak that grows with the
+  # number of reloads (the workload reloads its table once a second).
+  bench_out="$(mktemp -d)"
+  trap 'rm -rf "${bench_out}"' EXIT
+  run_bench() {  # <output file> <run.sh args...>
+    local out="$1"
+    shift
+    if ! bash benchmark/run.sh "$@" >"${out}"; then
+      tail -n 5 "${out}" >&2
+      echo "ci.sh: bash benchmark/run.sh $* failed" >&2
+      exit 1
+    fi
+  }
+  run_bench "${bench_out}/all.txt" --seconds 4
+  for seconds in 4 16; do
+    run_bench "${bench_out}/int8_${seconds}s.txt" \
+      --workload serve-int8-reload --seconds "${seconds}"
+  done
+  python3 - "${bench_out}" <<'EOF'
+import json
+import sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+
+
+def result(name):
+    """The JSON result object run.sh prints as its last line."""
+    return json.loads((out / name).read_text().strip().splitlines()[-1])
+
+
+every = result("all.txt")
+assert every["correct"] is True, f"benchmark/run.sh --seconds 4: {every}"
+peaks = {}
+for seconds in (4, 16):
+    run = result(f"int8_{seconds}s.txt")
+    assert run["correct"] is True, f"serve-int8-reload at {seconds} s: {run}"
+    peaks[seconds] = run["metrics"]["peak_rss_mb"]["value"]
+drift = abs(peaks[16] - peaks[4]) / peaks[4]
+assert drift <= 0.05, (
+    f"serve-int8-reload peak_rss_mb {peaks[4]:.1f} MB at 4 s but "
+    f"{peaks[16]:.1f} MB at 16 s ({drift:.1%} > 5%): memory grows with "
+    "the number of reloads")
+print(f"benchmark gate OK: {every['attempted']} operations correct; "
+      f"serve-int8-reload peak {peaks[4]:.1f} MB at 4 s, "
+      f"{peaks[16]:.1f} MB at 16 s ({drift:.1%} apart)")
 EOF
 fi
 
