@@ -2,7 +2,7 @@
 // GEMM, rowwise, sparse) over a thread-count x ISA grid and reports each
 // variant's ns/element plus its speedup against the serial scalar reference
 // (kernels/reference.cc — the pre-kernel-layer op loops). Writes
-// BENCH_kernels.json (schema "desalign.kernel_bench.v1"); see
+// BENCH_kernels.json (schema "desalign.kernel_bench.v3"); see
 // docs/PERFORMANCE.md for how to read the output.
 //
 //   ./kernel_bench [--out=BENCH_kernels.json] [--threads-list=1,2,4,8]

@@ -37,9 +37,6 @@
 #include "serve/stats.h"
 #include "serve/topk.h"
 #include "tensor/kernels/kernel_bench.h"
-#include "tensor/kernels/solver/find_db.h"
-#include "tensor/kernels/solver/solver.h"
-#include "tensor/kernels/solver/tuner.h"
 
 namespace desalign::cli {
 
@@ -697,113 +694,6 @@ Status CmdBenchKernels(const std::vector<std::string>& args,
   return Status::Ok();
 }
 
-// tune: the offline half of the GEMM solver registry — benchmark every
-// applicable solver per (op, shape) on this machine and persist the winners
-// to the CRC-guarded find-db that runtime dispatch replays. All timing
-// happens here; training/serving never tune online. Re-run after a hardware
-// or build change. --print dumps an existing cache without tuning.
-Status CmdTune(const std::vector<std::string>& args, std::ostream& out) {
-  namespace solver = tensor::kernels::solver;
-  FlagParser parser(
-      "desalign tune: benchmark GEMM solvers, persist winners to the "
-      "find-db tuning cache");
-  ThreadsFlag threads;
-  threads.Register(parser);
-  std::string cache_path;
-  std::string sizes_list;
-  std::string report_path;
-  int64_t repeats;
-  bool print;
-  parser.AddString("cache", "",
-                   "find-db path (default: $DESALIGN_TUNE_CACHE, else "
-                   "~/.cache/desalign/gemm_find_db.bin)",
-                   &cache_path);
-  parser.AddString("sizes", "64,128,256,512",
-                   "comma-separated cube edge lengths to tune (m = k = n)",
-                   &sizes_list);
-  parser.AddInt64("repeats", 5, "timing repeats per solver (min wins)",
-                  &repeats);
-  parser.AddString("report", "",
-                   "also write a desalign.tune.v1 JSON report to this path",
-                   &report_path);
-  parser.AddBool("print", false,
-                 "print the find-db at --cache and exit without tuning",
-                 &print);
-  auto argv = ToArgv(args);
-  DESALIGN_RETURN_NOT_OK(
-      parser.Parse(static_cast<int>(argv.size()), argv.data(), 0));
-  DESALIGN_RETURN_NOT_OK(threads.Apply());
-
-  if (print) {
-    const std::string path =
-        cache_path.empty() ? solver::FindDbPath() : cache_path;
-    auto loaded = solver::FindDb::Load(path);
-    if (!loaded.ok()) return loaded.status();
-    const auto db = std::move(loaded).value();
-    out << "find-db " << path << " version=" << solver::FindDb::kVersion
-        << " records=" << db.records.size()
-        << " tuned_at_unix=" << db.tuned_at_unix << "\n";
-    for (const auto& r : db.records) {
-      out << "record op="
-          << solver::GemmOpName(static_cast<solver::GemmOp>(r.key.op))
-          << " bucket=" << static_cast<int>(r.key.bm) << ","
-          << static_cast<int>(r.key.bk) << "," << static_cast<int>(r.key.bn)
-          << " solver=" << r.solver_id << " best_ns_per_elem="
-          << common::FormatDouble(r.best_ns_per_elem, 4)
-          << " default_ns_per_elem="
-          << common::FormatDouble(r.default_ns_per_elem, 4) << "\n";
-    }
-    return Status::Ok();
-  }
-
-  if (repeats <= 0) {
-    return Status::InvalidArgument("--repeats must be positive");
-  }
-  solver::TuneOptions options;
-  options.cache_path = cache_path;
-  options.repeats = static_cast<int>(repeats);
-  options.sizes.clear();
-  for (const auto& tok : common::Split(sizes_list, ',')) {
-    const std::string trimmed(common::Trim(tok));
-    if (trimmed.empty()) continue;
-    const int64_t s = std::atoll(trimmed.c_str());
-    if (s <= 0) {
-      return Status::InvalidArgument(
-          "--sizes entries must be positive integers, got '" + tok + "'");
-    }
-    options.sizes.push_back(s);
-  }
-
-  auto tuned = solver::RunTune(options);
-  if (!tuned.ok()) return tuned.status();
-  const auto report = std::move(tuned).value();
-
-  for (const auto& e : report.entries) {
-    out << solver::GemmOpName(e.op) << " " << e.m << "x" << e.k << "x" << e.n
-        << ": winner " << e.winner;
-    for (const auto& t : e.timings) {
-      out << "  [" << t.id << " "
-          << common::FormatDouble(t.ns_per_elem, 4) << " ns/elem]";
-    }
-    out << "\n";
-  }
-  out << "wrote find-db " << report.cache_path << " ("
-      << report.entries.size() << " entries); runtime dispatch now replays "
-      << "these winners\n";
-
-  if (!report_path.empty()) {
-    std::ofstream file(report_path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open '" + report_path +
-                                     "' for writing");
-    }
-    file << report.ToJson();
-    file.close();
-    out << "wrote tune report to " << report_path << "\n";
-  }
-  return Status::Ok();
-}
-
 // bench-index: brute force vs the two-stage IVF index across an
 // entity-count sweep on clustered synthetic embeddings; writes
 // BENCH_index.json (schema desalign.index_bench.v1, gated by tools/ci.sh).
@@ -1168,8 +1058,6 @@ constexpr char kTopLevelUsage[] =
     "BENCH_kernels.json\n"
     "  bench-index  sweep entity counts, IVF index vs brute force, write "
     "BENCH_index.json\n"
-    "  tune       benchmark GEMM solvers offline, persist winners to the "
-    "find-db tuning cache\n"
     "  quantize     convert a checkpoint's embeddings to int8/bf16 v3 "
     "storage\n"
     "  bench-quant  sweep entity counts, quantized storage vs fp32, write "
@@ -1204,8 +1092,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out) {
     status = CmdBenchKernels(rest, out);
   } else if (command == "bench-index") {
     status = CmdBenchIndex(rest, out);
-  } else if (command == "tune") {
-    status = CmdTune(rest, out);
   } else if (command == "quantize") {
     status = CmdQuantize(rest, out);
   } else if (command == "bench-quant") {

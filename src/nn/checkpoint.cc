@@ -215,10 +215,10 @@ Status ReadRecord(ByteReader& reader, bool v3, int64_t index,
   }
   q->dtype = static_cast<TensorDtype>(dtype_tag);
   const size_t elem_bytes = DtypeBytes(q->dtype);
-  if (q->rows < 0 || q->cols < 0 ||
-      (q->cols > 0 &&
-       q->rows > static_cast<int64_t>(reader.remaining() / elem_bytes) /
-                     q->cols)) {
+  // Save never writes a zero dimension, and a Tensor cannot hold one.
+  if (q->rows <= 0 || q->cols <= 0 ||
+      q->rows >
+          static_cast<int64_t>(reader.remaining() / elem_bytes) / q->cols) {
     return Corrupt(path, "implausible tensor shape " +
                              std::to_string(q->rows) + "x" +
                              std::to_string(q->cols));
@@ -285,6 +285,12 @@ Status SaveCheckpointV3(const TrainingCheckpoint& ckpt,
   records.reserve(ckpt.quant_tensors.size());
   for (size_t i = 0; i < ckpt.quant_tensors.size(); ++i) {
     const QuantTensor& q = ckpt.quant_tensors[i];
+    if (q.rows <= 0 || q.cols <= 0) {
+      return Status::InvalidArgument("tensor " + std::to_string(i) +
+                                     ": cannot save an empty " +
+                                     std::to_string(q.rows) + "x" +
+                                     std::to_string(q.cols) + " tensor");
+    }
     const size_t elems = static_cast<size_t>(q.rows * q.cols);
     switch (q.dtype) {
       case TensorDtype::kFloat32:

@@ -140,7 +140,7 @@ common::Result<std::vector<tensor::TensorPtr>> LoadAllParameters(
     in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
     in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
     if (!in) return Status::IoError("truncated checkpoint " + path);
-    if (rows < 0 || cols < 0 || (rows > 0 && cols > kMaxElements / rows)) {
+    if (rows <= 0 || cols <= 0 || cols > kMaxElements / rows) {
       return Status::IoError(path + " tensor " + std::to_string(t) +
                              " has an implausible shape " +
                              std::to_string(rows) + "x" +

@@ -179,11 +179,6 @@ common::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path,
         " is out of range");
   }
   nn::QuantTensor& q = records[static_cast<size_t>(tensor_index)];
-  if (q.rows <= 0 || q.cols <= 0) {
-    return common::Status::InvalidArgument(
-        "checkpoint tensor " + std::to_string(tensor_index) +
-        " is empty; cannot serve from it");
-  }
   if (q.dtype == nn::TensorDtype::kFloat32) {
     return EmbeddingStore(q.rows, q.cols, std::move(q.f32));
   }

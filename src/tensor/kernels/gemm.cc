@@ -6,34 +6,12 @@
 #include "tensor/kernels/buffer_pool.h"
 #include "tensor/kernels/internal.h"
 #include "tensor/kernels/rowwise.h"
-#include "tensor/kernels/solver/solver.h"
 
 namespace desalign::tensor::kernels {
 
-// The public entry points route through the solver registry: selection
-// replays the offline tuning cache (or falls back to rowaxpy below on a
-// miss), then runs the chosen solver. Every registered solver is
-// bit-identical to reference.cc, so this indirection is a speed knob only.
-
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n) {
-  solver::DispatchGemm(solver::GemmOp::kMatMul, a, b, y, m, k, n);
-}
-
-void MatMulGradA(const float* g, const float* b, float* ga, int64_t m,
-                 int64_t k, int64_t n) {
-  solver::DispatchGemm(solver::GemmOp::kMatMulGradA, g, b, ga, m, k, n);
-}
-
-void MatMulGradB(const float* g, const float* a, float* gb, int64_t m,
-                 int64_t k, int64_t n) {
-  solver::DispatchGemm(solver::GemmOp::kMatMulGradB, g, a, gb, m, k, n);
-}
-
-namespace rowaxpy {
-
-void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
-            int64_t n) {
+  if (n == 0) return;  // y is empty, and memset must not get its null data
   const IsaLevel isa = ActiveIsa();
   common::ThreadPool::Global().ParallelFor(
       0, m,
@@ -61,6 +39,7 @@ void MatMulGradA(const float* g, const float* b, float* ga, int64_t m,
   // but the inner loop has no loop-carried dependence and vectorizes.
   // Terms with g[i,j] == 0 are NOT skipped — the serial dot included them,
   // and +0.0 is not always a bitwise no-op (-0.0 + 0.0 == +0.0).
+  if (k == 0) return;  // ga is empty, and memset must not get tmp's null data
   const IsaLevel isa = ActiveIsa();
   PooledBuffer bt(static_cast<size_t>(n * k), /*zero=*/false);
   Transpose(b, bt.data(), k, n);
@@ -103,7 +82,5 @@ void MatMulGradB(const float* g, const float* a, float* gb, int64_t m,
       },
       KernelGrain(m * n));
 }
-
-}  // namespace rowaxpy
 
 }  // namespace desalign::tensor::kernels

@@ -135,19 +135,6 @@ DESALIGN_DEFINE_SPAN(ClipGrad)
 
 }  // namespace span
 
-// The pre-registry GEMM loop nests (gemm.cc). The public MatMul* entry
-// points now route through the solver registry (solver/solver.h); these are
-// the bodies the registry's fixed default solver ("gemm.rowaxpy") runs, and
-// the baseline `desalign tune` prices every other solver against.
-namespace rowaxpy {
-void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
-            int64_t n);
-void MatMulGradA(const float* g, const float* b, float* ga, int64_t m,
-                 int64_t k, int64_t n);
-void MatMulGradB(const float* g, const float* a, float* gb, int64_t m,
-                 int64_t k, int64_t n);
-}  // namespace rowaxpy
-
 }  // namespace desalign::tensor::kernels
 
 #endif  // DESALIGN_TENSOR_KERNELS_INTERNAL_H_

@@ -16,7 +16,6 @@
 #include "tensor/kernels/gemm.h"
 #include "tensor/kernels/reference.h"
 #include "tensor/kernels/rowwise.h"
-#include "tensor/kernels/solver/solver.h"
 #include "tensor/sparse.h"
 
 namespace desalign::tensor::kernels {
@@ -102,17 +101,6 @@ class Runner {
   void Case(const std::string& op, int64_t rows, int64_t cols,
             double norm_elems, const BenchFn& ref_fn,
             const BenchFn& kernel_fn) {
-    MultiCase(op, rows, cols, norm_elems, ref_fn, {{"", kernel_fn}});
-  }
-
-  // GEMM variant: one labeled function per registered solver, so each
-  // (threads, isa) cell is measured once per solver and tagged with its id.
-  // Solvers are invoked directly (not through cache replay) — the bench
-  // reports what each solver costs, independent of any find-db on disk.
-  void MultiCase(
-      const std::string& op, int64_t rows, int64_t cols, double norm_elems,
-      const BenchFn& ref_fn,
-      const std::vector<std::pair<std::string, BenchFn>>& kernels) {
     KernelBenchCase c;
     c.op = op;
     c.rows = rows;
@@ -124,16 +112,13 @@ class Runner {
       for (const IsaLevel isa : {IsaLevel::kScalar, IsaLevel::kAvx2}) {
         if (isa == IsaLevel::kAvx2 && !CpuSupportsAvx2()) continue;
         SetIsaOverride(isa, /*has_override=*/true);
-        for (const auto& [solver_id, kernel_fn] : kernels) {
-          KernelBenchVariant v;
-          v.threads = threads;
-          v.isa = IsaName(isa);
-          v.solver = solver_id;
-          v.ns_per_elem = MeasureNs(options_.repeats, kernel_fn) / norm_elems;
-          v.speedup = v.ns_per_elem > 0.0 ? c.ref_ns_per_elem / v.ns_per_elem
-                                          : 0.0;
-          c.variants.push_back(std::move(v));
-        }
+        KernelBenchVariant v;
+        v.threads = threads;
+        v.isa = IsaName(isa);
+        v.ns_per_elem = MeasureNs(options_.repeats, kernel_fn) / norm_elems;
+        v.speedup =
+            v.ns_per_elem > 0.0 ? c.ref_ns_per_elem / v.ns_per_elem : 0.0;
+        c.variants.push_back(std::move(v));
       }
       SetIsaOverride(IsaLevel::kScalar, /*has_override=*/false);
     }
@@ -162,7 +147,7 @@ double KernelBenchCase::BestSpeedup() const {
 
 std::string KernelBenchReport::ToJson() const {
   std::ostringstream os;
-  os << "{\"schema\":\"desalign.kernel_bench.v2\",\"cases\":[";
+  os << "{\"schema\":\"desalign.kernel_bench.v3\",\"cases\":[";
   for (size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
     if (i) os << ",";
@@ -174,7 +159,6 @@ std::string KernelBenchReport::ToJson() const {
       const auto& v = c.variants[j];
       if (j) os << ",";
       os << "{\"threads\":" << v.threads << ",\"isa\":\"" << v.isa
-         << "\",\"solver\":\"" << v.solver
          << "\",\"ns_per_elem\":" << JsonNum(v.ns_per_elem)
          << ",\"speedup\":" << JsonNum(v.speedup) << "}";
     }
@@ -220,11 +204,7 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
         [&] { Sigmoid(a.data(), y.data(), n); });
   }
 
-  // ---- MatMul forward + backward, one variant per registered solver ----
-  // The full shape is the 512^3 cube the solver acceptance gate measures
-  // (the old 512x256x512 shape shared a bucket with it anyway). Each solver
-  // is run directly so the committed JSON compares them; the runtime cache
-  // would pick whichever one `desalign tune` found fastest here.
+  // ---- MatMul forward + backward ----
   {
     const int64_t m = smoke ? 48 : 512;
     const int64_t k = smoke ? 32 : 512;
@@ -236,44 +216,30 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
     std::vector<float> ga(static_cast<size_t>(m * k));
     std::vector<float> gb(static_cast<size_t>(k * n));
     const double ops = static_cast<double>(m) * k * n;
-    const auto& solvers = solver::SolverRegistry::Global().Solvers();
-    std::vector<std::pair<std::string, BenchFn>> fwd, grad_a, grad_b;
-    for (const solver::GemmSolver* s : solvers) {
-      fwd.emplace_back(s->id(), [&, s] {
-        s->Run(solver::GemmProblem::Current(solver::GemmOp::kMatMul, m, k, n),
-               a.data(), b.data(), y.data());
-      });
-      grad_a.emplace_back(s->id(), [&, s] {
-        std::fill(ga.begin(), ga.end(), 0.0f);
-        s->Run(solver::GemmProblem::Current(solver::GemmOp::kMatMulGradA, m,
-                                            k, n),
-               g.data(), b.data(), ga.data());
-      });
-      grad_b.emplace_back(s->id(), [&, s] {
-        std::fill(gb.begin(), gb.end(), 0.0f);
-        s->Run(solver::GemmProblem::Current(solver::GemmOp::kMatMulGradB, m,
-                                            k, n),
-               g.data(), a.data(), gb.data());
-      });
-    }
-    runner.MultiCase(
+    runner.Case(
         "matmul_fwd", m, n, ops,
         [&] { reference::MatMul(a.data(), b.data(), y.data(), m, k, n); },
-        fwd);
-    runner.MultiCase(
+        [&] { MatMul(a.data(), b.data(), y.data(), m, k, n); });
+    runner.Case(
         "matmul_grad_a", m, k, ops,
         [&] {
           std::fill(ga.begin(), ga.end(), 0.0f);
           reference::MatMulGradA(g.data(), b.data(), ga.data(), m, k, n);
         },
-        grad_a);
-    runner.MultiCase(
+        [&] {
+          std::fill(ga.begin(), ga.end(), 0.0f);
+          MatMulGradA(g.data(), b.data(), ga.data(), m, k, n);
+        });
+    runner.Case(
         "matmul_grad_b", k, n, ops,
         [&] {
           std::fill(gb.begin(), gb.end(), 0.0f);
           reference::MatMulGradB(g.data(), a.data(), gb.data(), m, k, n);
         },
-        grad_b);
+        [&] {
+          std::fill(gb.begin(), gb.end(), 0.0f);
+          MatMulGradB(g.data(), a.data(), gb.data(), m, k, n);
+        });
   }
 
   // ---- Rowwise ----

@@ -8,10 +8,7 @@
 // Kernel regression benchmark: times every major kernel against the serial
 // scalar reference (kernels/reference.cc, the pre-kernel-layer op loops)
 // across a thread-count x ISA grid and emits a machine-readable report
-// (BENCH_kernels.json, schema "desalign.kernel_bench.v2"). The GEMM cases
-// additionally sweep every registered solver (solver/solver.h) and tag each
-// variant with its solver id, so the committed JSON records which solver
-// wins where — the same comparison `desalign tune` persists. tools/ci.sh
+// (BENCH_kernels.json, schema "desalign.kernel_bench.v3"). tools/ci.sh
 // runs the smoke configuration and asserts the vector path does not regress
 // below the reference; docs/PERFORMANCE.md explains how to read the output.
 
@@ -32,7 +29,6 @@ struct KernelBenchOptions {
 struct KernelBenchVariant {
   int threads = 1;
   std::string isa;          // "scalar" or "avx2"
-  std::string solver;       // solver id for GEMM cases, "" for other ops
   double ns_per_elem = 0.0;
   double speedup = 0.0;     // ref_ns_per_elem / ns_per_elem
 };

@@ -379,6 +379,7 @@ void TransposeAcc(const float* g, float* out, int64_t m, int64_t n) {
 
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n) {
+  if (m == 0 || n == 0) return;  // y is empty; memset must not get null
   std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t p = 0; p < k; ++p) {

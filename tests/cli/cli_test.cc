@@ -346,56 +346,5 @@ TEST(CliTest, MetricsOutRejectsUnknownExtension) {
             1);
 }
 
-TEST(CliTest, TuneWritesFindDbAndPrintRoundTrips) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("desalign_cli_tune_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string cache = (dir / "find_db.bin").string();
-  const std::string report = (dir / "tune.json").string();
-
-  std::string out;
-  EXPECT_EQ(RunTool({"tune", "--sizes=8,16", "--repeats=1",
-                     ("--cache=" + cache).c_str(),
-                     ("--report=" + report).c_str()},
-                    &out),
-            0);
-  // One line per (op, size): 3 ops x 2 sizes, each naming a winner.
-  EXPECT_NE(out.find("matmul_fwd 8x8x8: winner"), std::string::npos);
-  EXPECT_NE(out.find("matmul_grad_b 16x16x16: winner"), std::string::npos);
-  EXPECT_NE(out.find("runtime dispatch now replays"), std::string::npos);
-  ASSERT_TRUE(std::filesystem::exists(cache));
-  ASSERT_TRUE(std::filesystem::exists(report));
-  const std::string json = ReadAll(report);
-  EXPECT_NE(json.find("\"schema\":\"desalign.tune.v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"winner\""), std::string::npos);
-
-  // --print replays the persisted cache parseably: 6 records, each carrying
-  // the winning solver id and both timings.
-  std::string printed;
-  EXPECT_EQ(
-      RunTool({"tune", "--print", ("--cache=" + cache).c_str()}, &printed),
-      0);
-  EXPECT_NE(printed.find("version=1 records=6"), std::string::npos);
-  EXPECT_NE(printed.find("record op=matmul_fwd"), std::string::npos);
-  EXPECT_NE(printed.find("best_ns_per_elem="), std::string::npos);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CliTest, TuneRejectsBadSizes) {
-  std::string out;
-  EXPECT_EQ(RunTool({"tune", "--sizes=8,-4"}, &out), 1);
-  EXPECT_EQ(RunTool({"tune", "--sizes=", "--repeats=1"}, &out), 1);
-  EXPECT_EQ(RunTool({"tune", "--sizes=8", "--repeats=0"}, &out), 1);
-}
-
-TEST(CliTest, TunePrintOnMissingCacheFails) {
-  std::string out;
-  EXPECT_EQ(RunTool({"tune", "--print",
-                     "--cache=/nonexistent/desalign_find_db.bin"},
-                    &out),
-            1);
-}
-
 }  // namespace
 }  // namespace desalign::cli

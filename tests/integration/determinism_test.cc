@@ -6,8 +6,6 @@
 // up here as a float-for-float mismatch.
 
 #include <cstring>
-#include <filesystem>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +15,6 @@
 #include "kg/synthetic.h"
 #include "tensor/kernels/buffer_pool.h"
 #include "tensor/kernels/dispatch.h"
-#include "tensor/kernels/solver/find_db.h"
-#include "tensor/kernels/solver/solver.h"
 #include "tensor/tensor.h"
 
 namespace desalign {
@@ -153,96 +149,6 @@ TEST(DeterminismTest, BufferPoolSteadyStateHitRate) {
   EXPECT_GE(stats.HitRate(), 0.95)
       << "steady-state training should recycle nearly every buffer, got "
       << stats.hits << " hits / " << stats.misses << " misses";
-}
-
-// The GEMM solver registry replays its tuning cache (find-db) and nothing
-// else, so which solver serves a shape is a pure function of the cache
-// file — identical under every thread count and every DESALIGN_KERNEL_ISA /
-// override setting. This is what lets a tuned machine stay bit-exact with
-// an untuned one: selection changes speed, the solvers themselves are all
-// bit-identical to the reference.
-TEST(DeterminismTest, SolverSelectionReplaysCacheAcrossThreadsAndIsa) {
-  namespace solver = tensor::kernels::solver;
-  auto& registry = solver::SolverRegistry::Global();
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       "desalign_determinism_find_db.bin")
-          .string();
-
-  solver::FindDb db;
-  solver::FindDbRecord rec;
-  rec.key = solver::ProblemKey::FromProblem(solver::GemmProblem{
-      solver::GemmOp::kMatMul, 70, 8, 70, tensor::kernels::IsaLevel::kScalar,
-      1});
-  rec.solver_id = "gemm.blocked8x8";
-  db.Upsert(rec);
-  ASSERT_TRUE(db.Save(path).ok());
-  ASSERT_TRUE(registry.ReloadCache(path).ok());
-
-  const tensor::kernels::IsaLevel levels[] = {
-      tensor::kernels::IsaLevel::kScalar, tensor::kernels::IsaLevel::kAvx2};
-  for (const auto isa : levels) {
-    for (const int threads : {1, 2, 4, 8}) {
-      tensor::kernels::SetIsaOverride(isa);
-      common::ThreadPool::SetGlobalThreadCount(threads);
-      const auto p =
-          solver::GemmProblem::Current(solver::GemmOp::kMatMul, 70, 8, 70);
-      EXPECT_STREQ(registry.Select(p)->id(), "gemm.blocked8x8")
-          << tensor::kernels::IsaName(isa) << " @" << threads << " threads";
-      tensor::kernels::SetIsaOverride(tensor::kernels::IsaLevel::kScalar,
-                                      /*has_override=*/false);
-      common::ThreadPool::SetGlobalThreadCount(0);
-    }
-  }
-
-  registry.ClearCache();
-  std::filesystem::remove(path);
-}
-
-// End-to-end version of the same claim: a full train → decode run with the
-// blocked solver tuned in must be bit-identical to the untuned (default
-// solver) run.
-TEST(DeterminismTest, TunedCacheDoesNotChangeTrainingOutput) {
-  namespace solver = tensor::kernels::solver;
-  auto& registry = solver::SolverRegistry::Global();
-  auto data = TinyData();
-
-  registry.ClearCache();
-  const RunArtifacts untuned = TrainAndDecode(data, 5);
-
-  // Tune every bucket a tiny run can hit toward the blocked solver: keys
-  // are (op, ceil-log2 bucket), so a handful of cube stand-ins cover all
-  // the rectangular shapes training actually produces.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       "desalign_determinism_find_db_full.bin")
-          .string();
-  solver::FindDb db;
-  for (const auto op :
-       {solver::GemmOp::kMatMul, solver::GemmOp::kMatMulGradA,
-        solver::GemmOp::kMatMulGradB}) {
-    for (int64_t bm = 0; bm <= 8; ++bm) {
-      for (int64_t bk = 0; bk <= 8; ++bk) {
-        for (int64_t bn = 0; bn <= 8; ++bn) {
-          solver::FindDbRecord rec;
-          rec.key.op = static_cast<uint8_t>(op);
-          rec.key.bm = static_cast<uint8_t>(bm);
-          rec.key.bk = static_cast<uint8_t>(bk);
-          rec.key.bn = static_cast<uint8_t>(bn);
-          rec.solver_id = "gemm.blocked8x8";
-          db.Upsert(rec);
-        }
-      }
-    }
-  }
-  ASSERT_TRUE(db.Save(path).ok());
-  ASSERT_TRUE(registry.ReloadCache(path).ok());
-  const RunArtifacts tuned = TrainAndDecode(data, 5);
-  registry.ClearCache();
-  std::filesystem::remove(path);
-
-  ExpectBitExact(untuned.fused, tuned.fused, "fused embeddings");
-  ExpectBitExact(untuned.similarity, tuned.similarity, "decoded similarity");
 }
 
 TEST(DeterminismTest, DatasetGenerationIsSeedDeterministic) {

@@ -1,9 +1,8 @@
-// Fixture: the tuner's sanctioned exception — the find-db's tuned_at_unix
-// provenance stamp is a deliberate wall-clock read (it records WHEN the
-// machine was tuned and is never selected on), suppressed via the named
-// pragma exactly as src/tensor/kernels/solver/tuner.cc does.
+// Fixture: a sanctioned exception — a provenance stamp is a deliberate
+// wall-clock read (it records WHEN a file was produced and nothing is ever
+// selected on it), suppressed via the rule's named pragma.
 #include <ctime>
 
-long FindDbProvenanceStamp() {
-  return time(nullptr);  // desalign-lint: allow(wall-clock) tuned_at stamp
+long ProvenanceStamp() {
+  return time(nullptr);  // desalign-lint: allow(wall-clock) provenance stamp
 }

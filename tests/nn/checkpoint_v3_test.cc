@@ -157,6 +157,15 @@ TEST_F(CheckpointV3Test, SaveRejectsMixedOrStatefulV3) {
   ckpt.quant_tensors[0].scales.pop_back();
   EXPECT_EQ(SaveCheckpoint(ckpt, path_).code(),
             common::StatusCode::kInvalidArgument);
+  // A 0-row int8 record has consistent (empty) payloads, but no Tensor can
+  // load it back: refuse it too.
+  ckpt = MakeV3Checkpoint(9);
+  ckpt.quant_tensors[0].rows = 0;
+  ckpt.quant_tensors[0].codes.clear();
+  ckpt.quant_tensors[0].scales.clear();
+  EXPECT_EQ(SaveCheckpoint(ckpt, path_).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(path_));
 }
 
 struct CorruptCase {

@@ -191,6 +191,17 @@ TEST_F(SerializeTest, LoadAllParametersRejectsCorruptHeader) {
   auto loaded = LoadAllParameters(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
+
+  // A zero dimension is implausible too: no Tensor can hold it.
+  ASSERT_TRUE(SaveParameters(params, path_).ok());
+  f.open(path_, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(kMagicLenForTest + sizeof(int64_t)));
+  const int64_t zero_rows = 0;
+  f.write(reinterpret_cast<const char*>(&zero_rows), sizeof(zero_rows));
+  f.close();
+  loaded = LoadAllParameters(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
 }
 
 TEST_F(SerializeTest, LoadAllParametersRejectsGarbage) {

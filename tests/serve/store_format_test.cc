@@ -146,6 +146,34 @@ nn::TrainingCheckpoint MakeV3Checkpoint(uint64_t seed) {
   return ckpt;
 }
 
+// A one-record v2 or v3 file whose record has `rows * cols` == 0 elements,
+// framed as Save frames records: each payload array is empty but keeps its
+// CRC. An int8 record needs rows == 0 (one scale per row). The footer CRC
+// is left zero for the caller to seal.
+std::string EmptyRecordFile(bool v3, TensorDtype dtype, int64_t rows,
+                            int64_t cols) {
+  std::string b = v3 ? "DESALIGNCKPT3\n" : "DESALIGNCKPT2\n";
+  const auto put = [&b](auto v) {
+    b.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const uint32_t empty_crc = common::Crc32(b.data(), 0);
+  put(uint32_t{v3 ? 3u : 2u});  // version
+  put(int64_t{0});              // epoch
+  put(uint32_t{0});             // flags
+  put(int64_t{1});              // tensor count
+  if (v3) put(static_cast<uint8_t>(dtype));
+  put(rows);
+  put(cols);
+  if (dtype == TensorDtype::kInt8) {
+    put(rows);  // scale count
+    put(empty_crc);
+  }
+  put(empty_crc);
+  b.append(sizeof(uint32_t), '\0');
+  b.append("DCKPTEND");
+  return b;
+}
+
 TEST_F(StoreFormatTest, Fp32SaveMatchesSaveCheckpointByteForByte) {
   const auto store =
       EmbeddingStore::FromRows(300, 24, RandomRows(300, 24, 1));
@@ -199,7 +227,9 @@ TEST_F(StoreFormatTest, LoadRejectsEveryCorruptV3FileLikeLoadCheckpoint) {
 
 TEST_F(StoreFormatTest, LoadRejectsResealedRecordDamageLikeLoadCheckpoint) {
   // The footer is recomputed after each mutation, so the per-record guards
-  // are what reject the file, as in the v3 checkpoint suite.
+  // are what reject the file, as in the v3 checkpoint suite. A record with
+  // a zero dimension is well framed but still rejected: no Tensor or
+  // table can hold it.
   ASSERT_TRUE(nn::SaveCheckpoint(MakeV3Checkpoint(10), path_).ok());
   const std::string pristine = ReadFile(path_);
   const std::pair<const char*, std::function<void(std::string&)>> cases[] =
@@ -221,6 +251,22 @@ TEST_F(StoreFormatTest, LoadRejectsResealedRecordDamageLikeLoadCheckpoint) {
            }},
           {"trailing garbage",
            [](std::string& b) { b.insert(b.size() - kFooterLen, "XYZW"); }},
+          {"v2 0-row record",
+           [](std::string& b) {
+             b = EmptyRecordFile(false, TensorDtype::kFloat32, 0, 4);
+           }},
+          {"v2 0-col record",
+           [](std::string& b) {
+             b = EmptyRecordFile(false, TensorDtype::kFloat32, 3, 0);
+           }},
+          {"v3 0-row int8 record",
+           [](std::string& b) {
+             b = EmptyRecordFile(true, TensorDtype::kInt8, 0, 5);
+           }},
+          {"v3 0-col bf16 record",
+           [](std::string& b) {
+             b = EmptyRecordFile(true, TensorDtype::kBf16, 3, 0);
+           }},
       };
   for (const auto& [name, mutate] : cases) {
     std::string bytes = pristine;

@@ -540,6 +540,42 @@ TEST(KernelsBitExactTest, StridedCopies) {
       base_acc2);
 }
 
+// Checks MatMul, MatMulGradA and MatMulGradB on one (m, k, n). Exact zeros
+// and negative zeros are planted in a (the operand whose zero terms the
+// forward and grad_b skip) and in g (whose zero terms grad_a must keep),
+// and -0.0f in every starting output, so a skipped or spurious +0.0 term
+// flips bytes. The forward's output starts nonzero too: it must overwrite.
+void ExpectMatMulBitExact(int64_t m, int64_t k, int64_t n, common::Rng& rng) {
+  auto a = RandomVec(rng, static_cast<size_t>(m * k));
+  const auto b = RandomVec(rng, static_cast<size_t>(k * n));
+  auto g = RandomVec(rng, static_cast<size_t>(m * n));
+  for (auto* v : {&a, &g}) {
+    for (size_t i = 0; i < v->size(); i += 5) (*v)[i] = 0.0f;
+    for (size_t i = 3; i < v->size(); i += 11) (*v)[i] = -0.0f;
+  }
+  const auto base = [&rng](int64_t len) {
+    auto v = RandomVec(rng, static_cast<size_t>(len));
+    for (size_t i = 1; i < v.size(); i += 7) v[i] = -0.0f;
+    return v;
+  };
+  ExpectConfigsBitExact(
+      [&](float* y) { MatMul(a.data(), b.data(), y, m, k, n); },
+      [&](float* y) { reference::MatMul(a.data(), b.data(), y, m, k, n); },
+      base(m * n));
+  ExpectConfigsBitExact(
+      [&](float* ga) { MatMulGradA(g.data(), b.data(), ga, m, k, n); },
+      [&](float* ga) {
+        reference::MatMulGradA(g.data(), b.data(), ga, m, k, n);
+      },
+      base(m * k));
+  ExpectConfigsBitExact(
+      [&](float* gb) { MatMulGradB(g.data(), a.data(), gb, m, k, n); },
+      [&](float* gb) {
+        reference::MatMulGradB(g.data(), a.data(), gb, m, k, n);
+      },
+      base(k * n));
+}
+
 TEST(KernelsBitExactTest, MatMulForwardAndBackward) {
   common::Rng rng(108);
   struct Mkn {
@@ -547,38 +583,52 @@ TEST(KernelsBitExactTest, MatMulForwardAndBackward) {
   };
   const Mkn shapes[] = {{1, 1, 1}, {3, 5, 2}, {7, 63, 33}, {16, 65, 17},
                         {33, 32, 65}};
-  for (const auto& s : shapes) {
-    auto a = RandomVec(rng, static_cast<size_t>(s.m * s.k));
-    auto b = RandomVec(rng, static_cast<size_t>(s.k * s.n));
-    auto g = RandomVec(rng, static_cast<size_t>(s.m * s.n));
-    // The forward skips exact-zero a elements; plant some to keep that
-    // branch equivalent on every path.
-    for (size_t i = 0; i < a.size(); i += 7) a[i] = 0.0f;
-    ExpectConfigsBitExact(
-        [&](float* y) { MatMul(a.data(), b.data(), y, s.m, s.k, s.n); },
-        [&](float* y) {
-          reference::MatMul(a.data(), b.data(), y, s.m, s.k, s.n);
-        },
-        std::vector<float>(static_cast<size_t>(s.m * s.n), 0.0f));
-    auto base_ga = RandomVec(rng, static_cast<size_t>(s.m * s.k));
-    ExpectConfigsBitExact(
-        [&](float* ga) {
-          MatMulGradA(g.data(), b.data(), ga, s.m, s.k, s.n);
-        },
-        [&](float* ga) {
-          reference::MatMulGradA(g.data(), b.data(), ga, s.m, s.k, s.n);
-        },
-        base_ga);
-    auto base_gb = RandomVec(rng, static_cast<size_t>(s.k * s.n));
-    ExpectConfigsBitExact(
-        [&](float* gb) {
-          MatMulGradB(g.data(), a.data(), gb, s.m, s.k, s.n);
-        },
-        [&](float* gb) {
-          reference::MatMulGradB(g.data(), a.data(), gb, s.m, s.k, s.n);
-        },
-        base_gb);
+  for (const auto& s : shapes) ExpectMatMulBitExact(s.m, s.k, s.n, rng);
+
+  // Matrix-vector products (n = 1), the shape of the GAT edge-attention
+  // projection.
+  for (const int64_t m : {1, 7, 517}) {
+    for (const int64_t k : {1, 16, 17}) ExpectMatMulBitExact(m, k, 1, rng);
   }
+}
+
+// The SolverBitExactTest suite keeps its name from when GEMM had several
+// interchangeable solvers; its shape sweeps now check the one GEMM path
+// (MatMul, MatMulGradA, MatMulGradB) under every ISA x partitioning config.
+TEST(SolverBitExactTest, EdgeShapeGridAllOpsAllSolvers) {
+  // Every m, k, n from the vector-width edge set: below one 8-lane group
+  // (1, 7), exactly one (8), straddling 64 (63, 64, 65), and a remainder
+  // after 16 full lanes (129).
+  const int64_t kEdge[] = {1, 7, 8, 63, 64, 65, 129};
+  common::Rng rng(20260808);
+  for (const int64_t m : kEdge) {
+    for (const int64_t k : kEdge) {
+      for (const int64_t n : kEdge) {
+        ExpectMatMulBitExact(m, k, n, rng);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SolverBitExactTest, DegenerateAndSkewedShapes) {
+  common::Rng rng(31337);
+  ExpectMatMulBitExact(5, 0, 6, rng);    // k = 0: fwd zeroes, grad_b adds
+                                         // nothing
+  ExpectMatMulBitExact(4, 9, 0, rng);    // n = 0: grad_a still adds +0.0
+                                         // per element
+  ExpectMatMulBitExact(0, 9, 6, rng);    // m = 0: empty everything
+  ExpectMatMulBitExact(517, 3, 2, rng);  // tall-skinny
+  ExpectMatMulBitExact(2, 3, 517, rng);  // wide
+  ExpectMatMulBitExact(1, 300, 1, rng);  // long pure reduction
+}
+
+TEST(SolverBitExactTest, MultipleKcBlocksKeepAccumulationOrder) {
+  // k > 256: long accumulation chains must keep the reference's
+  // ascending-p order term for term.
+  common::Rng rng(99);
+  ExpectMatMulBitExact(17, 300, 23, rng);
+  ExpectMatMulBitExact(9, 513, 9, rng);
 }
 
 }  // namespace

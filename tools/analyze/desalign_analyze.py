@@ -32,8 +32,8 @@ three whole-program contracts:
 
   discarded-status  Call sites that drop the result of a fallible API
                     (common::Status / common::Result returns such as
-                    Reload, ReloadAndRebuild, checkpoint Save/Load,
-                    find-db Save/Load, QuantizeTensor, and the
+                    Reload, ReloadAndRebuild, checkpoint and store
+                    Save/Load, QuantizeTensor, and the
                     ServeStatus-carrying futures of BatchQueue::Submit)
                     as a bare expression-statement. `(void)expr` is the
                     sanctioned explicit discard. The declarations
@@ -722,8 +722,8 @@ def pass_layering(found, sources, root):
 FALLIBLE_CALLS = {
     "Reload": "EmbeddingStore::Reload (common::Status)",
     "ReloadAndRebuild": "IvfRetriever::ReloadAndRebuild (common::Status)",
-    "Save": "checkpoint/find-db Save (common::Status)",
-    "Load": "checkpoint/find-db Load (common::Result)",
+    "Save": "checkpoint/store Save (common::Status)",
+    "Load": "checkpoint/store Load (common::Result)",
     "SaveCheckpoint": "nn::SaveCheckpoint (common::Status)",
     "LoadCheckpoint": "nn::LoadCheckpoint (common::Result)",
     "LoadLatestValid": "CheckpointManager::LoadLatestValid (common::Result)",

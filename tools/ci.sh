@@ -27,10 +27,6 @@
 #                          # `ctest -L quant` + bench-quant smoke: schema,
 #                          # full-probe bit-exactness per dtype, recall@10
 #                          # delta vs fp32 <= 0.005, int8 memory >= 3.5x)
-#   tools/ci.sh --tune     # only the solver gate (build + `ctest -L solver`
-#                          # + a real `desalign tune` run: find-db
-#                          # round-trips through --print, blocked GEMM
-#                          # >= 1.15x vs the row-axpy default at >= 256^3)
 #   tools/ci.sh --tsan     # only the ThreadSanitizer-labelled suite
 #   tools/ci.sh --faults   # only the fault-injection suite under ASan
 #   tools/ci.sh --overload # only the overload gate (`ctest -L overload`
@@ -54,9 +50,6 @@
 #                 bit-exactness at full probe, reload-rebuild)
 #   quant       — quantized serving suite (int8/bf16 round trips, v3
 #                 checkpoints, scan determinism, dtype-swap reload)
-#   solver      — GEMM solver registry suite (per-solver bit-exactness,
-#                 find-db corruption handling, replay determinism, the
-#                 reload-under-Select race)
 #   overload    — serve-side overload protection: bounded admission,
 #                 deadlines, the degradation ladder and its chaos suite
 #   lint        — desalign-lint fixture corpus + zero-finding tree scan
@@ -66,16 +59,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc)"
 
-stages=(lint analyze tier1 index quant tune overload benchmark ubsan tsan
-        faults)
+stages=(lint analyze tier1 index quant overload benchmark ubsan tsan faults)
 for stage in "${stages[@]}"; do declare "run_${stage}=1"; done
 case "${1:-}" in
   "") ;;
-  lint | ubsan | --analyze | --tier1 | --index | --quant | --tune | \
-    --overload | --benchmark | --tsan | --faults)
+  lint | ubsan | --analyze | --tier1 | --index | --quant | --overload | \
+    --benchmark | --tsan | --faults)
     for stage in "${stages[@]}"; do declare "run_${stage}=0"; done
     declare "run_${1#--}=1" ;;
-  *) echo "usage: tools/ci.sh [lint|--analyze|ubsan|--tier1|--index|--quant|--tune|--overload|--benchmark|--tsan|--faults]" >&2
+  *) echo "usage: tools/ci.sh [lint|--analyze|ubsan|--tier1|--index|--quant|--overload|--benchmark|--tsan|--faults]" >&2
      exit 2 ;;
 esac
 
@@ -146,7 +138,7 @@ if [[ "${run_tier1}" == 1 ]]; then
 import json
 with open("build/BENCH_kernels_smoke.json") as f:
     report = json.load(f)
-assert report["schema"] == "desalign.kernel_bench.v2", report.get("schema")
+assert report["schema"] == "desalign.kernel_bench.v3", report.get("schema")
 cases = {c["op"]: c for c in report["cases"]}
 assert len(cases) >= 15, f"expected >=15 bench cases, got {len(cases)}"
 for case in report["cases"]:
@@ -154,11 +146,6 @@ for case in report["cases"]:
     for v in case["variants"]:
         assert v["isa"] in ("scalar", "avx2"), v
         assert v["ns_per_elem"] > 0 and v["speedup"] > 0, v
-# v2: the GEMM cases sweep every registered solver and tag each variant.
-for op in ("matmul_fwd", "matmul_grad_a", "matmul_grad_b"):
-    solvers = {v["solver"] for v in cases[op]["variants"]}
-    assert {"gemm.rowaxpy", "gemm.blocked8x8"} <= solvers, (
-        f"{op}: missing solver sweep, got {solvers}")
 # The contiguous elementwise kernels are the pure vector path: even at
 # smoke sizes their best variant must not regress below the old serial
 # scalar loops — and since the SpanGrain fix, so must EVERY vector
@@ -174,8 +161,8 @@ for op in ("add", "mul", "axpy", "relu"):
             assert v["speedup"] >= 1.0, (
                 f"{op}: avx2 @{v['threads']} threads regressed to "
                 f"{v['speedup']:.2f}x vs scalar (SpanGrain floor broken?)")
-print(f"kernel-bench smoke OK: {len(cases)} cases, schema v2, "
-      "vector path >= scalar reference, GEMM solver sweep present")
+print(f"kernel-bench smoke OK: {len(cases)} cases, schema v3, "
+      "vector path >= scalar reference")
 EOF
 fi
 
@@ -259,53 +246,6 @@ for case in report["cases"]:
 print(f"quant smoke OK: {len(report['cases'])} case(s), schema v1, "
       "all dtypes bit-exact at full re-rank, refined int8 == fp32, "
       "recall delta <= 0.005")
-EOF
-fi
-
-if [[ "${run_tune}" == 1 ]]; then
-  echo "== tune: solver suite + offline autotune round-trip gate =="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DDESALIGN_WERROR=ON
-  cmake --build build -j "${JOBS}"
-  ctest --test-dir build --output-on-failure -j "${JOBS}" -L solver
-
-  # A real tune run on small-to-medium cubes. Gates: the report carries
-  # every op at every size with at least both stock solvers timed; the
-  # persisted find-db round-trips through `tune --print` with the same
-  # winners; and at >= 256^3 the blocked GEMM beats the row-axpy default by
-  # >= 1.15x on the forward op (the committed BENCH_kernels.json shows
-  # ~1.8x at 512^3 single-thread AVX2 — 1.15x is the CI floor, tolerant of
-  # noisy shared runners).
-  ./build/tools/desalign tune --sizes=64,256 --repeats=3 \
-    --cache=build/gemm_find_db_ci.bin --report=build/TUNE_ci.json
-  ./build/tools/desalign tune --print --cache=build/gemm_find_db_ci.bin \
-    > build/TUNE_ci_print.txt
-  python3 - <<'EOF'
-import json
-with open("build/TUNE_ci.json") as f:
-    report = json.load(f)
-assert report["schema"] == "desalign.tune.v1", report.get("schema")
-entries = report["entries"]
-ops = {e["op"] for e in entries}
-assert ops == {"matmul_fwd", "matmul_grad_a", "matmul_grad_b"}, ops
-assert len(entries) == 6, f"expected 3 ops x 2 sizes, got {len(entries)}"
-for e in entries:
-    ids = {t["id"] for t in e["solvers"]}
-    assert {"gemm.rowaxpy", "gemm.blocked8x8"} <= ids, (e["op"], ids)
-    assert all(t["ns_per_elem"] > 0 for t in e["solvers"]), e
-    assert e["winner"] in ids, e
-fwd256 = next(e for e in entries if e["op"] == "matmul_fwd" and e["m"] >= 256)
-timing = {t["id"]: t["ns_per_elem"] for t in fwd256["solvers"]}
-ratio = timing["gemm.rowaxpy"] / timing["gemm.blocked8x8"]
-assert ratio >= 1.15, (
-    f"blocked GEMM only {ratio:.2f}x vs row-axpy at "
-    f"{fwd256['m']}^3 (CI floor is 1.15x)")
-with open("build/TUNE_ci_print.txt") as f:
-    printed = f.read()
-assert "version=1 records=6" in printed, printed.splitlines()[:1]
-for e in entries:
-    assert f"solver={e['winner']}" in printed, (e["op"], e["winner"])
-print(f"tune gate OK: 6 entries, find-db round-trips, "
-      f"blocked GEMM {ratio:.2f}x vs default at {fwd256['m']}^3")
 EOF
 fi
 
