@@ -2,15 +2,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "common/thread_pool.h"
 #include "tensor/kernels/internal.h"
 
 namespace desalign::tensor::kernels {
 
-// Baseline-ISA instantiation of every span body (see internal.h).
+// Baseline-ISA instantiation of every span body and GEMM loop nest (see
+// internal.h).
 namespace scalar_impl {
 #include "tensor/kernels/span_bodies.inl"
+#include "tensor/kernels/gemm_bodies.inl"
 }  // namespace scalar_impl
 
 namespace {

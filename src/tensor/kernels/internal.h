@@ -4,12 +4,14 @@
 // Internal ISA plumbing for the kernel layer. Not installed into ops.cc or
 // any code outside src/tensor/kernels/.
 //
-// Every elementwise span body (span_bodies.inl) is compiled twice, into
-// kernels::scalar_impl (baseline codegen, elementwise.cc) and
-// kernels::avx2_impl (256-bit codegen, avx2.cc). Both namespaces share the
-// prototype list below; span::Foo(isa, ...) picks the instantiation for the
-// resolved IsaLevel. The two are bit-identical by construction — see
-// span_bodies.inl for the lane-independence argument.
+// Every elementwise span body (span_bodies.inl) and every GEMM chunk loop
+// nest (gemm_bodies.inl) is compiled twice, into kernels::scalar_impl
+// (baseline codegen, elementwise.cc) and kernels::avx2_impl (256-bit
+// codegen, avx2.cc). Both namespaces share the prototype lists below;
+// span::Foo(isa, ...) picks the instantiation for the resolved IsaLevel.
+// The two are bit-identical by construction — see span_bodies.inl for the
+// lane-independence argument and gemm_bodies.inl for the ordered
+// reductions.
 
 #include <cstdint>
 
@@ -63,17 +65,32 @@ namespace desalign::tensor::kernels {
   void ClipGradBody(const float* g, const float* x, float lo, float hi,      \
                     float* out, int64_t n);
 
+// One ParallelFor chunk of MatMul (output rows), MatMulGradA (output rows,
+// `tmp` a k-float workspace) and MatMulGradB (rows p of gb).
+#define DESALIGN_KERNEL_GEMM_PROTOS                                          \
+  void MatMulRowsBody(const float* a, const float* b, float* y, int64_t k,   \
+                      int64_t n, int64_t row_begin, int64_t row_end);        \
+  void MatMulGradARowsBody(const float* g, const float* bt, float* ga,       \
+                           float* tmp, int64_t k, int64_t n,                 \
+                           int64_t row_begin, int64_t row_end);              \
+  void MatMulGradBColsBody(const float* g, const float* a, float* gb,        \
+                           int64_t m, int64_t k, int64_t n, int64_t p_begin, \
+                           int64_t p_end);
+
 namespace scalar_impl {
 DESALIGN_KERNEL_SPAN_PROTOS
+DESALIGN_KERNEL_GEMM_PROTOS
 }  // namespace scalar_impl
 
 #if DESALIGN_KERNELS_HAVE_AVX2
 namespace avx2_impl {
 DESALIGN_KERNEL_SPAN_PROTOS
+DESALIGN_KERNEL_GEMM_PROTOS
 }  // namespace avx2_impl
 #endif
 
 #undef DESALIGN_KERNEL_SPAN_PROTOS
+#undef DESALIGN_KERNEL_GEMM_PROTOS
 
 // span::Foo(isa, args...) — single-threaded span dispatch. Rowwise and gemm
 // kernels resolve ActiveIsa() once per kernel call and pass it down so the
@@ -130,6 +147,9 @@ DESALIGN_DEFINE_SPAN(LogEpsGrad)
 DESALIGN_DEFINE_SPAN(SquareGrad)
 DESALIGN_DEFINE_SPAN(AbsGrad)
 DESALIGN_DEFINE_SPAN(ClipGrad)
+DESALIGN_DEFINE_SPAN(MatMulRows)
+DESALIGN_DEFINE_SPAN(MatMulGradARows)
+DESALIGN_DEFINE_SPAN(MatMulGradBCols)
 
 #undef DESALIGN_DEFINE_SPAN
 

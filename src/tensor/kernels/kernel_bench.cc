@@ -204,11 +204,11 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
         [&] { Sigmoid(a.data(), y.data(), n); });
   }
 
-  // ---- MatMul forward + backward ----
-  {
-    const int64_t m = smoke ? 48 : 512;
-    const int64_t k = smoke ? 32 : 512;
-    const int64_t n = smoke ? 48 : 512;
+  // ---- MatMul forward + backward: a cube, then the matrix-vector (n = 1)
+  // GAT edge-attention projection at the train workload's 22 838 edges x
+  // 16 head dims ----
+  const auto matmul_cases = [&](const std::string& prefix, int64_t m,
+                                int64_t k, int64_t n) {
     const auto a = RandomVec(rng, m * k);
     const auto b = RandomVec(rng, k * n);
     const auto g = RandomVec(rng, m * n);
@@ -217,11 +217,11 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
     std::vector<float> gb(static_cast<size_t>(k * n));
     const double ops = static_cast<double>(m) * k * n;
     runner.Case(
-        "matmul_fwd", m, n, ops,
+        prefix + "_fwd", m, n, ops,
         [&] { reference::MatMul(a.data(), b.data(), y.data(), m, k, n); },
         [&] { MatMul(a.data(), b.data(), y.data(), m, k, n); });
     runner.Case(
-        "matmul_grad_a", m, k, ops,
+        prefix + "_grad_a", m, k, ops,
         [&] {
           std::fill(ga.begin(), ga.end(), 0.0f);
           reference::MatMulGradA(g.data(), b.data(), ga.data(), m, k, n);
@@ -231,7 +231,7 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
           MatMulGradA(g.data(), b.data(), ga.data(), m, k, n);
         });
     runner.Case(
-        "matmul_grad_b", k, n, ops,
+        prefix + "_grad_b", k, n, ops,
         [&] {
           std::fill(gb.begin(), gb.end(), 0.0f);
           reference::MatMulGradB(g.data(), a.data(), gb.data(), m, k, n);
@@ -240,7 +240,10 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
           std::fill(gb.begin(), gb.end(), 0.0f);
           MatMulGradB(g.data(), a.data(), gb.data(), m, k, n);
         });
-  }
+  };
+  matmul_cases("matmul", smoke ? 48 : 512, smoke ? 32 : 512,
+               smoke ? 48 : 512);
+  matmul_cases("matmul_gemv", smoke ? 512 : 22838, 16, 1);
 
   // ---- Rowwise ----
   {

@@ -61,18 +61,24 @@ TEST(ReloadRaceTest, QueriesRacingReloadSeeOneCoherentTable) {
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> queries_served{0};
+  // Each reader checks in as it enters its loop. The reload rounds take
+  // only a few milliseconds, so they wait for every reader: otherwise they
+  // can race the readers' start-up instead of their queries.
+  std::atomic<int> readers_started{0};
   std::vector<std::thread> readers;
 
   // Retriever-path readers: every result must be internally consistent
   // with exactly one of the two valid tables.
   for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&store, &stop, &queries_served, t] {
+    readers.emplace_back([&store, &stop, &queries_served, &readers_started,
+                          t] {
       common::ThreadPool pool(1);
       TopKOptions options;
       options.pool = &pool;
       const TopKRetriever retriever(&store, options);
       common::Rng rng(100 + static_cast<uint64_t>(t));
       std::vector<float> query(static_cast<size_t>(kDim));
+      readers_started.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         for (auto& v : query) v = rng.UniformF(-1.0f, 1.0f);
         const auto results = retriever.Retrieve(query.data(), 1, kTopK);
@@ -96,7 +102,8 @@ TEST(ReloadRaceTest, QueriesRacingReloadSeeOneCoherentTable) {
   // other for the snapshot's whole lifetime even while reloads swap the
   // current table underneath.
   for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&store, &stop] {
+    readers.emplace_back([&store, &stop, &readers_started] {
+      readers_started.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         const EmbeddingSnapshot snap = store.Snapshot();
         const int64_t rows = snap.size();
@@ -110,6 +117,9 @@ TEST(ReloadRaceTest, QueriesRacingReloadSeeOneCoherentTable) {
     });
   }
 
+  while (readers_started.load() < static_cast<int>(readers.size())) {
+    std::this_thread::yield();
+  }
   ReloadOptions fast;
   fast.max_attempts = 1;
   fast.backoff_ms = 0.0;

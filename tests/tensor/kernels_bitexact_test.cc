@@ -581,8 +581,12 @@ TEST(KernelsBitExactTest, MatMulForwardAndBackward) {
   struct Mkn {
     int64_t m, k, n;
   };
-  const Mkn shapes[] = {{1, 1, 1}, {3, 5, 2}, {7, 63, 33}, {16, 65, 17},
-                        {33, 32, 65}};
+  // The last two are shapes train dispatches, at full size: a 3000 x 32 x 32
+  // projection and the GAT edge-attention projection (22 838 edges x 16 head
+  // dims x 1).
+  const Mkn shapes[] = {{1, 1, 1},      {3, 5, 2},    {7, 63, 33},
+                        {16, 65, 17},   {33, 32, 65}, {3000, 32, 32},
+                        {22838, 16, 1}};
   for (const auto& s : shapes) ExpectMatMulBitExact(s.m, s.k, s.n, rng);
 
   // Matrix-vector products (n = 1), the shape of the GAT edge-attention

@@ -128,10 +128,11 @@ if [[ "${run_tier1}" == 1 ]]; then
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-  echo "== kernel-bench smoke: schema + vector-path regression gate =="
-  # Tiny shapes, two repeats: this is a regression tripwire (does the
-  # vector path at least match the scalar reference on elementwise ops?),
-  # not a performance measurement — see docs/PERFORMANCE.md for real runs.
+  echo "== kernel-bench smoke: schema + vector-path and GEMV regression gate =="
+  # Tiny shapes, two repeats: this is a regression tripwire (do the
+  # vector path on elementwise ops and the n = 1 GEMM at least match the
+  # scalar reference?), not a performance measurement — see
+  # docs/PERFORMANCE.md for real runs.
   ./build/tools/desalign bench-kernels --smoke --threads-list=1,2 \
     --repeats=2 --out=build/BENCH_kernels_smoke.json
   python3 - <<'EOF'
@@ -161,8 +162,16 @@ for op in ("add", "mul", "axpy", "relu"):
             assert v["speedup"] >= 1.0, (
                 f"{op}: avx2 @{v['threads']} threads regressed to "
                 f"{v['speedup']:.2f}x vs scalar (SpanGrain floor broken?)")
+# The n = 1 GEMM (the GAT edge-attention projection) once ran at
+# 0.38-0.63x of the serial reference here, as one dispatched length-1 axpy
+# per (row, k); its own nests must keep it at or above the reference.
+for op in ("matmul_gemv_fwd", "matmul_gemv_grad_a", "matmul_gemv_grad_b"):
+    assert op in cases, f"missing bench case {op}"
+for op in ("matmul_gemv_fwd", "matmul_gemv_grad_b"):
+    best = max(v["speedup"] for v in cases[op]["variants"])
+    assert best >= 1.0, f"{op}: best speedup {best:.2f} < 1.0"
 print(f"kernel-bench smoke OK: {len(cases)} cases, schema v3, "
-      "vector path >= scalar reference")
+      "vector path and GEMV >= scalar reference")
 EOF
 fi
 
