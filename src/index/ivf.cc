@@ -15,7 +15,6 @@ namespace {
 
 using serve::scoring::BoundedTopK;
 using serve::scoring::Dot;
-using serve::scoring::SquaredL2;
 
 int64_t ResolveCentroids(int64_t requested, int64_t n) {
   if (n <= 0) return 0;
@@ -82,6 +81,7 @@ void IvfRetriever::Rebuild() {
         0, num_shards,
         [&](int64_t sb, int64_t se) {
           std::vector<float> scratch(static_cast<size_t>(dim));
+          std::vector<float> distances(static_cast<size_t>(k));
           for (int64_t s = sb; s < se; ++s) {
             Shard& shard = built->shards[static_cast<size_t>(s)];
             shard.begin = s * n / num_shards;
@@ -93,7 +93,8 @@ void IvfRetriever::Rebuild() {
               // is the same whatever shard/thread assigns it.
               assign[static_cast<size_t>(i)] = NearestCentroid(
                   built->coarse,
-                  snap.RowAsFloat(shard.begin + i, scratch.data()));
+                  snap.RowAsFloat(shard.begin + i, scratch.data()),
+                  distances.data());
             }
             // Counting sort by centroid: rows are visited in ascending id
             // order, so every inverted list comes out id-ascending.
@@ -178,18 +179,19 @@ std::vector<serve::TopKResult> IvfRetriever::RetrieveWithProbe(
 
   common::ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : common::ThreadPool::Global();
-  const float* centroids = built->coarse.centroids.data();
   pool.ParallelFor(
       0, num_queries,
       [&](int64_t qb, int64_t qe) {
         std::vector<float> scratch(static_cast<size_t>(d));
+        std::vector<float> distances(static_cast<size_t>(nc));
         for (int64_t i = qb; i < qe; ++i) {
           const float* qi = q.data() + i * d;
           // Stage 1: nearest cells by squared L2, ties toward the smaller
           // centroid id — the same rule assignment used at build time.
+          CentroidDistances(built->coarse, qi, distances.data());
           BoundedTopK probe(nprobe);
           for (int64_t c = 0; c < nc; ++c) {
-            probe.Offer(-SquaredL2(qi, centroids + c * d, d), c);
+            probe.Offer(-distances[static_cast<size_t>(c)], c);
           }
           const std::vector<int64_t> cells = probe.FinishIds();
           // Stage 2: re-rank every entity in a probed list. The shard x

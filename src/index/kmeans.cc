@@ -1,38 +1,50 @@
 #include "index/kmeans.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
-#include "serve/scoring.h"
+#include "tensor/kernels/rowwise.h"
 
 namespace desalign::index {
 
 namespace {
 
-int64_t NearestOf(const float* x, const float* centroids, int64_t k,
-                  int64_t dim) {
+int64_t ArgMin(const float* distances, int64_t k) {
   int64_t best = 0;
-  float best_dist = serve::scoring::SquaredL2(x, centroids, dim);
+  float best_dist = distances[0];
   for (int64_t c = 1; c < k; ++c) {
     // Strictly-less: on an exact distance tie the earlier (smaller id)
     // centroid wins, matching the probe stage's ordering contract.
-    const float dist =
-        serve::scoring::SquaredL2(x, centroids + c * dim, dim);
-    if (dist < best_dist) {
+    if (distances[c] < best_dist) {
       best = c;
-      best_dist = dist;
+      best_dist = distances[c];
     }
   }
   return best;
 }
 
+bool IsFinite(const float* row, int64_t dim) {
+  for (int64_t j = 0; j < dim; ++j) {
+    if (!std::isfinite(row[j])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-int64_t NearestCentroid(const KMeansModel& model, const float* x) {
+void CentroidDistances(const KMeansModel& model, const float* x,
+                       float* distances) {
+  tensor::kernels::SqDistColumns(x, model.centroids.data(), distances,
+                                 model.dim, model.num_centroids);
+}
+
+int64_t NearestCentroid(const KMeansModel& model, const float* x,
+                        float* distances) {
   DESALIGN_CHECK_GT(model.num_centroids, 0);
-  return NearestOf(x, model.centroids.data(), model.num_centroids,
-                   model.dim);
+  CentroidDistances(model, x, distances);
+  return ArgMin(distances, model.num_centroids);
 }
 
 KMeansModel TrainKMeans(const serve::EmbeddingSnapshot& table,
@@ -42,8 +54,7 @@ KMeansModel TrainKMeans(const serve::EmbeddingSnapshot& table,
   const int64_t n = table.size();
   if (n <= 0) return model;
   const int64_t dim = table.dim();
-  const int64_t k = std::min(std::max<int64_t>(options.num_centroids, 1), n);
-  model.num_centroids = k;
+  int64_t k = std::min(std::max<int64_t>(options.num_centroids, 1), n);
 
   common::Rng rng(options.seed);
   // Training subset: a deterministic sample caps the per-iteration cost;
@@ -58,18 +69,31 @@ KMeansModel TrainKMeans(const serve::EmbeddingSnapshot& table,
     train_rows.resize(static_cast<size_t>(n));
     for (int64_t r = 0; r < n; ++r) train_rows[static_cast<size_t>(r)] = r;
   }
-  const int64_t t = static_cast<int64_t>(train_rows.size());
-
-  // Initial centroids: k distinct training rows drawn from the seeded Rng.
-  // Rows are read through RowAsFloat so quantized tables train the same
-  // quantizer everywhere (dequantization is fixed-order scalar math).
-  model.centroids.resize(static_cast<size_t>(k * dim));
+  // A NaN or an infinity in a training row would reach a centroid, by
+  // seeding it or through the update sums, and make it non-finite. A NaN
+  // centroid 0 then takes every row: the argmin starts at centroid 0 and
+  // no distance compares less than NaN. So such rows neither seed nor
+  // move a centroid. Rows are read through RowAsFloat so quantized tables
+  // train the same quantizer everywhere (dequantization is fixed-order
+  // scalar math).
   std::vector<float> scratch(static_cast<size_t>(dim));
+  std::erase_if(train_rows, [&](int64_t r) {
+    return !IsFinite(table.RowAsFloat(r, scratch.data()), dim);
+  });
+  const int64_t t = static_cast<int64_t>(train_rows.size());
+  k = std::min(k, std::max<int64_t>(t, 1));
+  model.num_centroids = k;
+  model.centroids.assign(static_cast<size_t>(dim * k), 0.0f);
+  if (t == 0) return model;
+  float* centroids = model.centroids.data();
+
+  // Initial centroids: k distinct training rows drawn from the seeded Rng,
+  // each written into its column of the coordinate-major table.
   const std::vector<int64_t> init = rng.SampleWithoutReplacement(t, k);
   for (int64_t c = 0; c < k; ++c) {
     const float* src = table.RowAsFloat(
         train_rows[static_cast<size_t>(init[c])], scratch.data());
-    std::copy(src, src + dim, model.centroids.data() + c * dim);
+    for (int64_t p = 0; p < dim; ++p) centroids[p * k + c] = src[p];
   }
 
   common::ThreadPool& pool =
@@ -87,11 +111,13 @@ KMeansModel TrainKMeans(const serve::EmbeddingSnapshot& table,
         0, t,
         [&](int64_t begin, int64_t end) {
           std::vector<float> chunk_scratch(static_cast<size_t>(dim));
+          std::vector<float> distances(static_cast<size_t>(k));
           for (int64_t i = begin; i < end; ++i) {
-            assign[static_cast<size_t>(i)] = NearestOf(
+            assign[static_cast<size_t>(i)] = NearestCentroid(
+                model,
                 table.RowAsFloat(train_rows[static_cast<size_t>(i)],
                                  chunk_scratch.data()),
-                model.centroids.data(), k, dim);
+                distances.data());
           }
         },
         grain);
@@ -115,9 +141,8 @@ KMeansModel TrainKMeans(const serve::EmbeddingSnapshot& table,
       if (count == 0) continue;  // empty cell keeps its previous centroid
       const double inv = 1.0 / static_cast<double>(count);
       const double* sum = sums.data() + c * dim;
-      float* centroid = model.centroids.data() + c * dim;
       for (int64_t j = 0; j < dim; ++j) {
-        centroid[j] = static_cast<float>(sum[j] * inv);
+        centroids[j * k + c] = static_cast<float>(sum[j] * inv);
       }
     }
   }

@@ -14,7 +14,7 @@ namespace desalign::index {
 /// the result is explicit — there is no hidden state — so the same
 /// (table, options) pair always trains bit-identical centroids.
 struct KMeansOptions {
-  int64_t num_centroids = 16;  ///< clamped to [1, rows]
+  int64_t num_centroids = 16;  ///< clamped to [1, finite rows]; see TrainKMeans
   /// Fixed Lloyd iteration count — no convergence test, because an
   /// epsilon-based stop would make the trained quantizer depend on float
   /// noise. Diminishing returns past ~10 for coarse quantization.
@@ -26,19 +26,34 @@ struct KMeansOptions {
   common::ThreadPool* pool = nullptr;  ///< null = ThreadPool::Global()
 };
 
-/// A trained coarse quantizer: `num_centroids` x `dim` row-major centroid
-/// matrix. Immutable after TrainKMeans returns.
+/// A trained coarse quantizer. Immutable after TrainKMeans returns.
+///
+/// `centroids` is coordinate-major, `dim` x `num_centroids`: coordinate p
+/// of centroid c is `centroids[p * num_centroids + c]`. Each coordinate of
+/// every centroid is one contiguous span, so one pass of
+/// tensor::kernels::SqDistColumns scores a row against all centroids with
+/// one vector lane per centroid.
 struct KMeansModel {
   int64_t num_centroids = 0;
   int64_t dim = 0;
   std::vector<float> centroids;
 };
 
+/// Squared L2 distance from `x` (dim floats) to every centroid, written to
+/// `distances` (num_centroids floats). Each distance is one sum from +0.0f
+/// over ascending coordinates, so its bits do not depend on the ISA or the
+/// thread count.
+void CentroidDistances(const KMeansModel& model, const float* x,
+                       float* distances);
+
 /// Nearest centroid of `x` by squared L2 distance, scanning centroids in
 /// ascending id order with a strictly-less update — exact score ties
 /// break toward the smaller centroid id, the same tie rule the probe
-/// stage uses, so assignment and probing agree bit-for-bit.
-int64_t NearestCentroid(const KMeansModel& model, const float* x);
+/// stage uses, so assignment and probing agree bit-for-bit. `distances`
+/// is caller scratch of num_centroids floats; it is left holding
+/// CentroidDistances(model, x).
+int64_t NearestCentroid(const KMeansModel& model, const float* x,
+                        float* distances);
 
 /// Deterministic Lloyd's k-means over the rows of `table`.
 ///
@@ -52,6 +67,12 @@ int64_t NearestCentroid(const KMeansModel& model, const float* x);
 ///    and therefore every centroid bit — is independent of the thread
 ///    count;
 ///  - centroids that attract no rows keep their previous position.
+///
+/// Non-finite rows: a training row holding a NaN or an infinity never
+/// seeds a centroid and never enters the update sums, so every centroid
+/// stays finite. If fewer finite training rows than cells remain, the cell
+/// count drops to their number (one cell at the origin when there is none).
+/// On an all-finite table nothing is left out.
 KMeansModel TrainKMeans(const serve::EmbeddingSnapshot& table,
                         const KMeansOptions& options);
 

@@ -43,18 +43,6 @@ inline float Dot(const float* a, const float* b, int64_t d) {
   return ((s0 + s1) + (s2 + s3));
 }
 
-/// Squared L2 distance with a fixed single-accumulator order; used for
-/// coarse-quantizer assignment and probe selection, where both sides of a
-/// comparison must be computed identically for tie-breaks to be stable.
-inline float SquaredL2(const float* a, const float* b, int64_t d) {
-  float s = 0.0f;
-  for (int64_t c = 0; c < d; ++c) {
-    const float diff = a[c] - b[c];
-    s += diff * diff;
-  }
-  return s;
-}
-
 /// Integer dot product of two int8 code rows, accumulated in int32.
 /// Dispatches scalar vs AVX2 via tensor::kernels::ActiveIsa(); because
 /// int32 addition is associative, the vectorised reduction is bit-identical

@@ -63,7 +63,8 @@ namespace desalign::tensor::kernels {
                       int64_t n);                                            \
   void AbsGradBody(const float* g, const float* x, float* out, int64_t n);   \
   void ClipGradBody(const float* g, const float* x, float lo, float hi,      \
-                    float* out, int64_t n);
+                    float* out, int64_t n);                                  \
+  void SqDistAccBody(float x, const float* c, float* out, int64_t n);
 
 // One ParallelFor chunk of MatMul (output rows), MatMulGradA (output rows,
 // `tmp` a k-float workspace) and MatMulGradB (rows p of gb).
@@ -147,6 +148,7 @@ DESALIGN_DEFINE_SPAN(LogEpsGrad)
 DESALIGN_DEFINE_SPAN(SquareGrad)
 DESALIGN_DEFINE_SPAN(AbsGrad)
 DESALIGN_DEFINE_SPAN(ClipGrad)
+DESALIGN_DEFINE_SPAN(SqDistAcc)
 DESALIGN_DEFINE_SPAN(MatMulRows)
 DESALIGN_DEFINE_SPAN(MatMulGradARows)
 DESALIGN_DEFINE_SPAN(MatMulGradBCols)

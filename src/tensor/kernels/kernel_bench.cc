@@ -331,6 +331,37 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
         });
   }
 
+  // ---- Coarse-quantizer distances: one k-means assignment pass over the
+  // serve-ivf table, 20 000 rows x 128 dims against its 142 centroids.
+  // Rows are split across the pool as TrainKMeans splits them. ----
+  {
+    const int64_t rows = smoke ? 2000 : 20000;
+    const int64_t dim = 128;
+    const int64_t k = 142;
+    const auto x = RandomVec(rng, rows * dim);
+    const auto cols = RandomVec(rng, dim * k);
+    std::vector<float> out(static_cast<size_t>(rows * k));
+    runner.Case(
+        "sqdist_columns", rows, k, static_cast<double>(rows * k * dim),
+        [&] {
+          for (int64_t r = 0; r < rows; ++r) {
+            reference::SqDistColumns(x.data() + r * dim, cols.data(),
+                                     out.data() + r * k, dim, k);
+          }
+        },
+        [&] {
+          common::ThreadPool::Global().ParallelFor(
+              0, rows,
+              [&](int64_t rb, int64_t re) {
+                for (int64_t r = rb; r < re; ++r) {
+                  SqDistColumns(x.data() + r * dim, cols.data(),
+                                out.data() + r * k, dim, k);
+                }
+              },
+              common::ThreadPool::GrainForCost(k * dim));
+        });
+  }
+
   // ---- Sparse (CSR) setup and SpMM ----
   {
     const int64_t nodes = smoke ? 500 : 20000;

@@ -377,6 +377,20 @@ void TransposeAcc(const float* g, float* out, int64_t m, int64_t n) {
   }
 }
 
+// The coarse quantizer's per-centroid squared-L2 loop, verbatim; only a
+// centroid's coordinates now sit k floats apart.
+void SqDistColumns(const float* x, const float* cols, float* out,
+                   int64_t dim, int64_t k) {
+  for (int64_t j = 0; j < k; ++j) {
+    float s = 0.0f;
+    for (int64_t c = 0; c < dim; ++c) {
+      const float diff = x[c] - cols[c * k + j];
+      s += diff * diff;
+    }
+    out[j] = s;
+  }
+}
+
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,
             int64_t n) {
   if (m == 0 || n == 0) return;  // y is empty; memset must not get null

@@ -93,6 +93,10 @@ void GatherRowsAcc(const float* g, const int64_t* indices, float* out,
                    int64_t e, int64_t c);
 void Transpose(const float* a, float* y, int64_t m, int64_t n);
 void TransposeAcc(const float* g, float* out, int64_t m, int64_t n);
+// One squared-L2 loop per column, as the k-means and IVF code ran it per
+// centroid before the coarse quantizer used SqDistColumns.
+void SqDistColumns(const float* x, const float* cols, float* out,
+                   int64_t dim, int64_t k);
 
 // ---- gemm ----
 void MatMul(const float* a, const float* b, float* y, int64_t m, int64_t k,

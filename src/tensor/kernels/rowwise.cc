@@ -367,4 +367,15 @@ void AccDenseToStrided(const float* g, float* out, int64_t dst_stride,
   });
 }
 
+void SqDistColumns(const float* x, const float* cols, float* out,
+                   int64_t dim, int64_t k) {
+  // The vector lanes run across columns, never within one sum, so each
+  // column's sum keeps the serial ascending-p order on every ISA.
+  const IsaLevel isa = ActiveIsa();
+  std::fill(out, out + k, 0.0f);
+  for (int64_t p = 0; p < dim; ++p) {
+    span::SqDistAcc(isa, x[p], cols + p * k, out, k);
+  }
+}
+
 }  // namespace desalign::tensor::kernels

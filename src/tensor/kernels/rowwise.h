@@ -106,6 +106,16 @@ void AccStridedToDense(const float* g, int64_t src_stride, float* out,
 void AccDenseToStrided(const float* g, float* out, int64_t dst_stride,
                        int64_t n, int64_t c);
 
+// ---- Distances ----
+// out[j] = sum_p (x[p] - cols[p*k+j])^2 for j < k: the squared L2 distance
+// from x (length dim) to each of the k columns of the row-major (dim x k)
+// matrix `cols`. Each sum starts at +0.0f and adds (x[p] - cols[p*k+j])^2 in
+// ascending p, exactly the serial per-column loop. Runs on the calling
+// thread, not the pool: callers (k-means assignment, IVF list build and
+// probe) already split their rows across it.
+void SqDistColumns(const float* x, const float* cols, float* out,
+                   int64_t dim, int64_t k);
+
 }  // namespace desalign::tensor::kernels
 
 #endif  // DESALIGN_TENSOR_KERNELS_ROWWISE_H_

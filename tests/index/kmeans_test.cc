@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,11 +79,13 @@ TEST(KMeansTest, NearestCentroidTiesBreakTowardSmallerId) {
   KMeansModel model;
   model.num_centroids = 3;
   model.dim = 2;
-  model.centroids = {1.0f, 0.0f, 1.0f, 0.0f, 0.0f, 1.0f};
+  // Coordinate-major: centroids (1, 0), (1, 0) and (0, 1).
+  model.centroids = {1.0f, 1.0f, 0.0f, 0.0f, 0.0f, 1.0f};
+  std::vector<float> distances(3);
   const std::vector<float> q = {1.0f, 0.0f};
-  EXPECT_EQ(NearestCentroid(model, q.data()), 0);
+  EXPECT_EQ(NearestCentroid(model, q.data(), distances.data()), 0);
   const std::vector<float> r = {0.0f, 1.0f};
-  EXPECT_EQ(NearestCentroid(model, r.data()), 2);
+  EXPECT_EQ(NearestCentroid(model, r.data(), distances.data()), 2);
 }
 
 TEST(KMeansTest, AssignmentPartitionsAllRows) {
@@ -92,8 +95,9 @@ TEST(KMeansTest, AssignmentPartitionsAllRows) {
   const auto model = TrainKMeans(store.Snapshot(), options);
   const auto snap = store.Snapshot();
   std::vector<int64_t> counts(10, 0);
+  std::vector<float> distances(10);
   for (int64_t r = 0; r < snap.size(); ++r) {
-    const int64_t c = NearestCentroid(model, snap.row(r));
+    const int64_t c = NearestCentroid(model, snap.row(r), distances.data());
     ASSERT_GE(c, 0);
     ASSERT_LT(c, 10);
     ++counts[static_cast<size_t>(c)];
@@ -119,6 +123,57 @@ TEST(KMeansTest, MoreCentroidsThanDistinctRowsStaysFinite) {
   const auto model = TrainKMeans(store.Snapshot(), options);
   EXPECT_EQ(model.num_centroids, 8);
   for (const float v : model.centroids) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(KMeansTest, NonFiniteRowDoesNotCollapseCells) {
+  // A NaN row must neither seed nor enter a centroid's sum: a NaN centroid
+  // 0 would win every assignment (no distance compares less than NaN), so
+  // the next pass would put every row into its cell.
+  constexpr int64_t kRows = 4000;
+  constexpr int64_t kDim = 32;
+  common::Rng rng(5);
+  std::vector<float> data(static_cast<size_t>(kRows * kDim));
+  for (auto& v : data) v = rng.UniformF(-1.0f, 1.0f);
+  data[1234 * kDim + 7] = std::nanf("");
+  const auto store =
+      serve::EmbeddingStore::FromRows(kRows, kDim, std::move(data));
+  const auto snap = store.Snapshot();
+  KMeansOptions options;
+  options.num_centroids = 64;
+  const auto model = TrainKMeans(snap, options);
+  ASSERT_EQ(model.num_centroids, 64);
+  for (const float v : model.centroids) ASSERT_TRUE(std::isfinite(v));
+  std::vector<int64_t> counts(64, 0);
+  std::vector<float> distances(64);
+  for (int64_t r = 0; r < kRows; ++r) {
+    ++counts[static_cast<size_t>(
+        NearestCentroid(model, snap.row(r), distances.data()))];
+  }
+  EXPECT_LE(*std::max_element(counts.begin(), counts.end()), kRows / 2);
+}
+
+TEST(KMeansTest, CellCountShrinksToFiniteRows) {
+  // Three finite rows of five: only they can seed, so only three cells.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> data = {1.0f, 0.0f, std::nanf(""), 1.0f, 0.0f, 1.0f,
+                             inf,  2.0f, -1.0f,         0.5f};
+  const auto store = serve::EmbeddingStore::FromRows(5, 2, std::move(data));
+  KMeansOptions options;
+  options.num_centroids = 4;
+  const auto model = TrainKMeans(store.Snapshot(), options);
+  EXPECT_EQ(model.num_centroids, 3);
+  for (const float v : model.centroids) EXPECT_TRUE(std::isfinite(v));
+
+  // No finite row at all: one cell at the origin, which every row maps to.
+  const auto nan_store = serve::EmbeddingStore::FromRows(
+      2, 2, {std::nanf(""), 1.0f, inf, 0.0f});
+  const auto nan_model = TrainKMeans(nan_store.Snapshot(), options);
+  EXPECT_EQ(nan_model.num_centroids, 1);
+  EXPECT_EQ(nan_model.centroids, std::vector<float>(2, 0.0f));
+  float distance = 0.0f;
+  EXPECT_EQ(NearestCentroid(nan_model, nan_store.Snapshot().row(0),
+                            &distance),
+            0);
 }
 
 }  // namespace

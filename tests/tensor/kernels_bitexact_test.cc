@@ -6,8 +6,10 @@
 // deliberately include empty, single-row, single-column and 63/65-wide
 // cases to hit vector-width remainders on both sides.
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -538,6 +540,44 @@ TEST(KernelsBitExactTest, StridedCopies) {
                     expected_acc2.size() * sizeof(float));
       },
       base_acc2);
+}
+
+// The coarse quantizer's distance kernel against the per-column loop it
+// replaced. Columns j % 3 == 1 each carry one special value (±0.0, a
+// denormal, NaN or ±inf); the rest stay finite, so a split, reordered or
+// fused sum changes their bytes. x carries ±0.0 and a denormal, and is run
+// without NaN or inf, then with a NaN, +inf and -inf in one coordinate,
+// which makes every sum non-finite (inf - inf gives NaN).
+TEST(KernelsBitExactTest, SqDistColumns) {
+  common::Rng rng(109);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,   -0.0f, 1e-40f, -3e-39f,
+                            std::nanf(""), inf,   -inf};
+  constexpr int64_t kNumSpecials = sizeof(specials) / sizeof(specials[0]);
+  for (const int64_t k : {1, 7, 8, 9, 33, 142}) {
+    for (const int64_t dim : {1, 5, 128}) {
+      auto cols = RandomVec(rng, static_cast<size_t>(dim * k));
+      for (int64_t j = 1; j < k; j += 3) {
+        cols[static_cast<size_t>((j % dim) * k + j)] =
+            specials[(j / 3) % kNumSpecials];
+      }
+      auto x = RandomVec(rng, static_cast<size_t>(dim));
+      x[0] = -0.0f;
+      x[static_cast<size_t>(dim / 2)] = 2e-39f;
+      x[static_cast<size_t>(dim - 1)] = 0.0f;
+      for (const float poison : {1.0f, std::nanf(""), inf, -inf}) {
+        if (poison != 1.0f) x[static_cast<size_t>(dim / 3)] = poison;
+        ExpectConfigsBitExact(
+            [&](float* out) {
+              SqDistColumns(x.data(), cols.data(), out, dim, k);
+            },
+            [&](float* out) {
+              reference::SqDistColumns(x.data(), cols.data(), out, dim, k);
+            },
+            RandomVec(rng, static_cast<size_t>(k)));
+      }
+    }
+  }
 }
 
 // Checks MatMul, MatMulGradA and MatMulGradB on one (m, k, n). Exact zeros

@@ -128,11 +128,11 @@ if [[ "${run_tier1}" == 1 ]]; then
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-  echo "== kernel-bench smoke: schema + vector-path and GEMV regression gate =="
+  echo "== kernel-bench smoke: schema + vector-path, GEMV and centroid-distance regression gate =="
   # Tiny shapes, two repeats: this is a regression tripwire (do the
-  # vector path on elementwise ops and the n = 1 GEMM at least match the
-  # scalar reference?), not a performance measurement — see
-  # docs/PERFORMANCE.md for real runs.
+  # vector path on elementwise ops, the n = 1 GEMM and the centroid
+  # distances at least match the scalar reference?), not a performance
+  # measurement — see docs/PERFORMANCE.md for real runs.
   ./build/tools/desalign bench-kernels --smoke --threads-list=1,2 \
     --repeats=2 --out=build/BENCH_kernels_smoke.json
   python3 - <<'EOF'
@@ -170,8 +170,14 @@ for op in ("matmul_gemv_fwd", "matmul_gemv_grad_a", "matmul_gemv_grad_b"):
 for op in ("matmul_gemv_fwd", "matmul_gemv_grad_b"):
     best = max(v["speedup"] for v in cases[op]["variants"])
     assert best >= 1.0, f"{op}: best speedup {best:.2f} < 1.0"
+# The coarse quantizer's distances (k-means assignment, IVF list build and
+# probe) go through one kernel with a lane per centroid; it must stay at
+# or above the per-centroid reference loop it replaced.
+assert "sqdist_columns" in cases, "missing bench case sqdist_columns"
+best = max(v["speedup"] for v in cases["sqdist_columns"]["variants"])
+assert best >= 1.0, f"sqdist_columns: best speedup {best:.2f} < 1.0"
 print(f"kernel-bench smoke OK: {len(cases)} cases, schema v3, "
-      "vector path and GEMV >= scalar reference")
+      "vector path, GEMV and centroid distances >= scalar reference")
 EOF
 fi
 
