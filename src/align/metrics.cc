@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "tensor/kernels/gemm.h"
 #include "tensor/ops.h"
 
 namespace desalign::align {
@@ -33,11 +34,55 @@ RankingMetrics MetricsFromSimilarity(const Tensor& sim) {
   return m;
 }
 
-TensorPtr CosineSimilarityMatrix(const TensorPtr& a, const TensorPtr& b) {
+namespace {
+
+// out (epilogue) RowL2Normalize(a) * RowL2Normalize(b)^T.
+void CosineSimilarityInto(const TensorPtr& a, const TensorPtr& b,
+                          Tensor& out, tensor::kernels::GemmEpilogue epilogue,
+                          float s = 1.0f) {
+  DESALIGN_CHECK_EQ(a->cols(), b->cols());
   tensor::NoGradGuard no_grad;
   auto an = tensor::RowL2Normalize(a);
   auto bn = tensor::RowL2Normalize(b);
-  return tensor::MatMul(an, tensor::Transpose(bn));
+  tensor::kernels::MatMulTransB(an->data().data(), bn->data().data(),
+                                out.data().data(), an->rows(), an->cols(),
+                                bn->rows(), epilogue, s);
+}
+
+}  // namespace
+
+TensorPtr CosineSimilarityMatrix(const TensorPtr& a, const TensorPtr& b) {
+  auto sim = Tensor::CreateUninitialized(a->rows(), b->rows());
+  CosineSimilarityInto(a, b, *sim, tensor::kernels::GemmEpilogue::kStore);
+  return sim;
+}
+
+TensorPtr MeanCosineSimilarity(const std::vector<TensorPtr>& source_states,
+                               const std::vector<int64_t>& source_rows,
+                               const std::vector<TensorPtr>& target_states,
+                               const std::vector<int64_t>& target_rows) {
+  using tensor::kernels::GemmEpilogue;
+  const size_t num_states = source_states.size();
+  DESALIGN_CHECK_GT(num_states, 0u);
+  DESALIGN_CHECK_EQ(num_states, target_states.size());
+  tensor::NoGradGuard no_grad;
+  auto mean = Tensor::CreateUninitialized(
+      static_cast<int64_t>(source_rows.size()),
+      static_cast<int64_t>(target_rows.size()));
+  const float inv = 1.0f / static_cast<float>(num_states);
+  for (size_t s = 0; s < num_states; ++s) {
+    // The first state stores, the middle ones add and the last adds and
+    // scales. With one state a plain store is already exact: 1.0f * x == x
+    // for every x a sum of products can produce.
+    const GemmEpilogue epilogue =
+        s == 0                ? GemmEpilogue::kStore
+        : s + 1 < num_states ? GemmEpilogue::kAdd
+                              : GemmEpilogue::kAddScale;
+    CosineSimilarityInto(tensor::GatherRows(source_states[s], source_rows),
+                         tensor::GatherRows(target_states[s], target_rows),
+                         *mean, epilogue, inv);
+  }
+  return mean;
 }
 
 void ApplyCsls(Tensor& sim, int k) {

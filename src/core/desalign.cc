@@ -5,11 +5,9 @@
 #include "align/metrics.h"
 #include "common/check.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 
 namespace desalign::core {
 
-namespace ops = desalign::tensor;
 using tensor::Tensor;
 using tensor::TensorPtr;
 
@@ -89,15 +87,7 @@ TensorPtr DesalignModel::SimilarityFromEmbeddings(
 
   // Ω = mean of the pairwise similarities over all propagation states
   // (Algorithm 1 line 15).
-  TensorPtr mean_sim;
-  for (size_t j = 0; j < states_s.size(); ++j) {
-    auto zs = ops::GatherRows(states_s[j], src_rows);
-    auto zt = ops::GatherRows(states_t[j], tgt_rows);
-    auto sim = align::CosineSimilarityMatrix(zs, zt);
-    mean_sim = mean_sim ? ops::Add(mean_sim, sim) : sim;
-  }
-  return ops::Scale(mean_sim,
-                    1.0f / static_cast<float>(states_s.size()));
+  return align::MeanCosineSimilarity(states_s, src_rows, states_t, tgt_rows);
 }
 
 }  // namespace desalign::core

@@ -30,6 +30,22 @@ void MatMulGradA(const float* g, const float* b, float* ga, int64_t m,
 void MatMulGradB(const float* g, const float* a, float* gb, int64_t m,
                  int64_t k, int64_t n);
 
+// What MatMulTransB does with each finished dot product d = (a * b^T)[i,j].
+enum class GemmEpilogue {
+  kStore,     // c[i,j] = d
+  kAdd,       // c[i,j] = c[i,j] + d
+  kAddScale,  // c[i,j] = s * (c[i,j] + d)
+};
+
+// c (epilogue) a * b^T, with b (n x k), so c is (m x n). Each dot product
+// starts at +0.0f and adds the rounded a[i,p] * b[j,p] in ascending p,
+// skipping a[i,p] == 0.0f as MatMul does, before the epilogue reads c: the
+// result is bit-identical to MatMul(a, Transpose(b)) followed by Add and
+// Scale. Not differentiable; the autograd path keeps MatMul + Transpose.
+void MatMulTransB(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n, GemmEpilogue epilogue,
+                  float s = 1.0f);
+
 }  // namespace desalign::tensor::kernels
 
 #endif  // DESALIGN_TENSOR_KERNELS_GEMM_H_

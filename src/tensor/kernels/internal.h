@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "tensor/kernels/dispatch.h"
+#include "tensor/kernels/gemm.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define DESALIGN_KERNELS_HAVE_AVX2 1
@@ -67,7 +68,8 @@ namespace desalign::tensor::kernels {
   void SqDistAccBody(float x, const float* c, float* out, int64_t n);
 
 // One ParallelFor chunk of MatMul (output rows), MatMulGradA (output rows,
-// `tmp` a k-float workspace) and MatMulGradB (rows p of gb).
+// `tmp` a k-float workspace), MatMulGradB (rows p of gb) and MatMulTransB
+// (blocks of kTransBRows rows of c, b packed into panels).
 #define DESALIGN_KERNEL_GEMM_PROTOS                                          \
   void MatMulRowsBody(const float* a, const float* b, float* y, int64_t k,   \
                       int64_t n, int64_t row_begin, int64_t row_end);        \
@@ -76,19 +78,41 @@ namespace desalign::tensor::kernels {
                            int64_t row_begin, int64_t row_end);              \
   void MatMulGradBColsBody(const float* g, const float* a, float* gb,        \
                            int64_t m, int64_t k, int64_t n, int64_t p_begin, \
-                           int64_t p_end);
+                           int64_t p_end);                                   \
+  void MatMulTransBBlocksBody(const float* a, const float* bp, float* c,     \
+                              int64_t m, int64_t k, int64_t n,               \
+                              GemmEpilogue epilogue, float s,                \
+                              int64_t block_begin, int64_t block_end);
+
+// Rows of c per MatMulTransB register tile; its columns are two vectors.
+inline constexpr int64_t kTransBRows = 6;
 
 namespace scalar_impl {
+// Bytes per vector of the MatMulTransB tile: SSE2's, the x86-64 baseline,
+// whose 16 registers hold the tile's 12 sums.
+inline constexpr int kTileVecBytes = 16;
 DESALIGN_KERNEL_SPAN_PROTOS
 DESALIGN_KERNEL_GEMM_PROTOS
 }  // namespace scalar_impl
 
 #if DESALIGN_KERNELS_HAVE_AVX2
 namespace avx2_impl {
+inline constexpr int kTileVecBytes = 32;
 DESALIGN_KERNEL_SPAN_PROTOS
 DESALIGN_KERNEL_GEMM_PROTOS
 }  // namespace avx2_impl
 #endif
+
+// Floats per packed b panel of MatMulTransB: two of `isa`'s tile vectors.
+inline int64_t TransBPanelWidth(IsaLevel isa) {
+#if DESALIGN_KERNELS_HAVE_AVX2
+  if (isa == IsaLevel::kAvx2) {
+    return 2 * avx2_impl::kTileVecBytes / sizeof(float);
+  }
+#endif
+  (void)isa;
+  return 2 * scalar_impl::kTileVecBytes / sizeof(float);
+}
 
 #undef DESALIGN_KERNEL_SPAN_PROTOS
 #undef DESALIGN_KERNEL_GEMM_PROTOS
@@ -152,6 +176,7 @@ DESALIGN_DEFINE_SPAN(SqDistAcc)
 DESALIGN_DEFINE_SPAN(MatMulRows)
 DESALIGN_DEFINE_SPAN(MatMulGradARows)
 DESALIGN_DEFINE_SPAN(MatMulGradBCols)
+DESALIGN_DEFINE_SPAN(MatMulTransBBlocks)
 
 #undef DESALIGN_DEFINE_SPAN
 

@@ -245,6 +245,29 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
                smoke ? 48 : 512);
   matmul_cases("matmul_gemv", smoke ? 512 : 22838, 16, 1);
 
+  // ---- Decode's per-state similarity GEMM, a * b^T over 1400 test pairs x
+  // 128-wide states, against the reference transpose + MatMul it replaced.
+  // The smoke shape leaves a partial row block and a partial panel. ----
+  {
+    const int64_t m = smoke ? 70 : 1400;
+    const int64_t k = smoke ? 32 : 128;
+    const int64_t n = m;
+    const auto a = RandomVec(rng, m * k);
+    const auto b = RandomVec(rng, n * k);
+    std::vector<float> bt(static_cast<size_t>(k * n));
+    std::vector<float> c(static_cast<size_t>(m * n));
+    runner.Case(
+        "matmul_transb", m, n, static_cast<double>(m) * k * n,
+        [&] {
+          reference::Transpose(b.data(), bt.data(), n, k);
+          reference::MatMul(a.data(), bt.data(), c.data(), m, k, n);
+        },
+        [&] {
+          MatMulTransB(a.data(), b.data(), c.data(), m, k, n,
+                       GemmEpilogue::kStore);
+        });
+  }
+
   // ---- Rowwise ----
   {
     const int64_t n = smoke ? 256 : 4096;

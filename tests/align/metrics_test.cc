@@ -1,8 +1,14 @@
 #include "align/metrics.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "tensor/kernels/dispatch.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace desalign::align {
@@ -70,6 +76,69 @@ TEST(CosineSimilarityTest, BuildsNoAutogradGraph) {
   auto a = Tensor::FromData(1, 2, {1, 2}, /*requires_grad=*/true);
   auto sim = CosineSimilarityMatrix(a, a);
   EXPECT_TRUE(sim->parents().empty());
+}
+
+// The per-state loop decode ran before MeanCosineSimilarity, in public
+// ops: gather, normalize, MatMul against the transpose, Add into the running
+// sum, then Scale by 1/S.
+TensorPtr MeanCosineSimilarityWithOps(const std::vector<TensorPtr>& src,
+                                      const std::vector<int64_t>& src_rows,
+                                      const std::vector<TensorPtr>& tgt,
+                                      const std::vector<int64_t>& tgt_rows) {
+  tensor::NoGradGuard no_grad;
+  TensorPtr sum;
+  for (size_t s = 0; s < src.size(); ++s) {
+    auto an = tensor::RowL2Normalize(tensor::GatherRows(src[s], src_rows));
+    auto bn = tensor::RowL2Normalize(tensor::GatherRows(tgt[s], tgt_rows));
+    auto sim = tensor::MatMul(an, tensor::Transpose(bn));
+    sum = sum ? tensor::Add(sum, sim) : sim;
+  }
+  return tensor::Scale(sum, 1.0f / static_cast<float>(src.size()));
+}
+
+TEST(MeanCosineSimilarityTest, BitIdenticalToPerStateOps) {
+  common::Rng rng(41);
+  const auto random_state = [&rng](int64_t rows, int64_t cols) {
+    auto t = Tensor::Create(rows, cols);
+    for (auto& v : t->data()) v = rng.UniformF(-1.0f, 1.0f);
+    for (int64_t c = 0; c < cols; ++c) t->At(3, c) = 0.0f;  // normalizes to 0
+    return t;
+  };
+  const auto random_rows = [&rng](int64_t count, int64_t bound) {
+    std::vector<int64_t> rows(static_cast<size_t>(count));
+    for (auto& r : rows) r = rng.UniformInt(bound);
+    rows[0] = 3;
+    return rows;
+  };
+  for (const int num_states : {1, 2, 9}) {
+    std::vector<TensorPtr> src;
+    std::vector<TensorPtr> tgt;
+    for (int s = 0; s < num_states; ++s) {
+      src.push_back(random_state(60, 24));
+      tgt.push_back(random_state(50, 24));
+    }
+    const auto src_rows = random_rows(37, 60);
+    const auto tgt_rows = random_rows(29, 50);
+    const auto want = MeanCosineSimilarityWithOps(src, src_rows, tgt, tgt_rows);
+    struct Config {
+      int threads;
+      int64_t grain;
+    };
+    for (const Config config : {Config{1, 0}, Config{4, 0}, Config{4, 1}}) {
+      common::ThreadPool::SetGlobalThreadCount(config.threads);
+      tensor::kernels::SetForcedGrainForTesting(config.grain);
+      const auto got = MeanCosineSimilarity(src, src_rows, tgt, tgt_rows);
+      tensor::kernels::SetForcedGrainForTesting(0);
+      common::ThreadPool::SetGlobalThreadCount(0);
+      ASSERT_EQ(got->rows(), 37);
+      ASSERT_EQ(got->cols(), 29);
+      EXPECT_EQ(std::memcmp(got->data().data(), want->data().data(),
+                            want->data().size() * sizeof(float)),
+                0)
+          << num_states << " states, " << config.threads << " threads, grain "
+          << config.grain;
+    }
+  }
 }
 
 TEST(CslsTest, PreservesArgmaxStructureOnSymmetricScores) {

@@ -6,6 +6,7 @@
 // deliberately include empty, single-row, single-column and 63/65-wide
 // cases to hit vector-width remainders on both sides.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -633,6 +634,100 @@ TEST(KernelsBitExactTest, MatMulForwardAndBackward) {
   // projection.
   for (const int64_t m : {1, 7, 517}) {
     for (const int64_t k : {1, 16, 17}) ExpectMatMulBitExact(m, k, 1, rng);
+  }
+}
+
+// Checks MatMulTransB's three epilogues on one (m, k, n) against the ops
+// decode ran before it: reference Transpose + MatMul, then Add onto c, then
+// Scale. c starts with -0.0s planted. With `plant_zeros` false, a holds one
+// zero, at row 3 (inside the first block, not its first row), facing +Inf
+// in b's row 0: only the zero skip keeps c[3,0] finite, and every other
+// block has no zero, so it takes the nest's loop without the test, as
+// decode's normalized states do. With it true, a holds exact zeros and
+// negative zeros; every fourth column of a (p = 1, 5, ..) is zero in every
+// row while b holds NaN and infinities there, so a term the zero skip
+// missed turns sums into NaN; and rows 4, 17, .. of a are all zero, so
+// their sums stay +0.0 and turn c's -0.0s into +0.0 under the add
+// epilogues.
+void ExpectMatMulTransBBitExact(int64_t m, int64_t k, int64_t n,
+                                bool plant_zeros, common::Rng& rng) {
+  const auto at = [k](int64_t row, int64_t p) {
+    return static_cast<size_t>(row * k + p);
+  };
+  auto a = RandomVec(rng, static_cast<size_t>(m * k));
+  auto b = RandomVec(rng, static_cast<size_t>(n * k));
+  if (plant_zeros) {
+    for (size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
+    for (size_t i = 3; i < a.size(); i += 11) a[i] = -0.0f;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float poison[] = {std::nanf(""), inf, -inf};
+    for (int64_t p = 1; p < k; p += 4) {
+      for (int64_t i = 0; i < m; ++i) a[at(i, p)] = i % 2 ? -0.0f : 0.0f;
+      for (int64_t j = 0; j < n; ++j) b[at(j, p)] = poison[j % 3];
+    }
+    for (int64_t i = 4; i < m; i += 13) {
+      for (int64_t p = 0; p < k; ++p) a[at(i, p)] = p % 2 ? -0.0f : 0.0f;
+    }
+  } else {
+    for (auto& v : a) {
+      if (v == 0.0f) v = 0.5f;
+    }
+    if (m > 3 && k > 0 && n > 0) {
+      a[at(3, k / 2)] = 0.0f;
+      b[at(0, k / 2)] = std::numeric_limits<float>::infinity();
+    }
+  }
+  auto c = RandomVec(rng, static_cast<size_t>(m * n));
+  for (size_t i = 1; i < c.size(); i += 7) c[i] = -0.0f;
+
+  std::vector<float> bt(static_cast<size_t>(k * n));
+  std::vector<float> product(static_cast<size_t>(m * n));
+  reference::Transpose(b.data(), bt.data(), n, k);
+  reference::MatMul(a.data(), bt.data(), product.data(), m, k, n);
+  const int64_t len = m * n;
+  const float s = 1.0f / 9.0f;
+  ExpectConfigsBitExact(
+      [&](float* y) {
+        MatMulTransB(a.data(), b.data(), y, m, k, n, GemmEpilogue::kStore);
+      },
+      [&](float* y) { std::copy(product.begin(), product.end(), y); }, c);
+  ExpectConfigsBitExact(
+      [&](float* y) {
+        MatMulTransB(a.data(), b.data(), y, m, k, n, GemmEpilogue::kAdd);
+      },
+      [&](float* y) { reference::Add(y, product.data(), y, len); }, c);
+  ExpectConfigsBitExact(
+      [&](float* y) {
+        MatMulTransB(a.data(), b.data(), y, m, k, n, GemmEpilogue::kAddScale,
+                     s);
+      },
+      [&](float* y) {
+        reference::Add(y, product.data(), y, len);
+        reference::Scale(y, s, y, len);
+      },
+      c);
+}
+
+TEST(KernelsBitExactTest, MatMulTransBEpilogues) {
+  // The edge grid covers partial row blocks (m mod 6 != 0) and partial
+  // panels (n mod 8 and n mod 16 != 0) at both tile widths.
+  const int64_t kEdge[] = {1, 7, 8, 63, 64, 65, 129};
+  common::Rng rng(110);
+  for (const bool plant_zeros : {true, false}) {
+    for (const int64_t m : kEdge) {
+      for (const int64_t k : kEdge) {
+        for (const int64_t n : kEdge) {
+          ExpectMatMulTransBBitExact(m, k, n, plant_zeros, rng);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+    // k = 0 leaves every sum at +0.0; m = 0 and n = 0 leave c empty.
+    ExpectMatMulTransBBitExact(5, 0, 6, plant_zeros, rng);
+    ExpectMatMulTransBBitExact(0, 9, 6, plant_zeros, rng);
+    ExpectMatMulTransBBitExact(4, 9, 0, plant_zeros, rng);
+    // Decode's shape: 1400 test pairs x 128-wide states.
+    ExpectMatMulTransBBitExact(1400, 128, 1400, plant_zeros, rng);
   }
 }
 

@@ -128,11 +128,12 @@ if [[ "${run_tier1}" == 1 ]]; then
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-  echo "== kernel-bench smoke: schema + vector-path, GEMV and centroid-distance regression gate =="
+  echo "== kernel-bench smoke: schema + vector-path, GEMV, centroid-distance and similarity-GEMM regression gate =="
   # Tiny shapes, two repeats: this is a regression tripwire (do the
-  # vector path on elementwise ops, the n = 1 GEMM and the centroid
-  # distances at least match the scalar reference?), not a performance
-  # measurement — see docs/PERFORMANCE.md for real runs.
+  # vector path on elementwise ops, the n = 1 GEMM, the centroid
+  # distances and decode's a * b^T tile at least match the scalar
+  # reference?), not a performance measurement — see docs/PERFORMANCE.md
+  # for real runs.
   ./build/tools/desalign bench-kernels --smoke --threads-list=1,2 \
     --repeats=2 --out=build/BENCH_kernels_smoke.json
   python3 - <<'EOF'
@@ -176,8 +177,15 @@ for op in ("matmul_gemv_fwd", "matmul_gemv_grad_b"):
 assert "sqdist_columns" in cases, "missing bench case sqdist_columns"
 best = max(v["speedup"] for v in cases["sqdist_columns"]["variants"])
 assert best >= 1.0, f"sqdist_columns: best speedup {best:.2f} < 1.0"
+# Decode's similarity average runs every state's a * b^T through one
+# register-tiled nest; it must stay at or above the reference transpose +
+# MatMul it replaced.
+assert "matmul_transb" in cases, "missing bench case matmul_transb"
+best = max(v["speedup"] for v in cases["matmul_transb"]["variants"])
+assert best >= 1.0, f"matmul_transb: best speedup {best:.2f} < 1.0"
 print(f"kernel-bench smoke OK: {len(cases)} cases, schema v3, "
-      "vector path, GEMV and centroid distances >= scalar reference")
+      "vector path, GEMV, centroid distances and similarity GEMM >= "
+      "scalar reference")
 EOF
 fi
 
