@@ -8,9 +8,9 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "eval/retrieval_metrics.h"
-#include "index/bench_util.h"
 #include "index/ivf.h"
 #include "obs/metrics.h"
+#include "serve/bench_util.h"
 #include "serve/embedding_store.h"
 #include "serve/topk.h"
 
@@ -18,6 +18,7 @@ namespace desalign::index {
 
 namespace {
 
+namespace bench = serve::bench;
 using bench::BitExact;
 using bench::JsonNum;
 using bench::MixtureRows;

@@ -14,7 +14,11 @@ namespace desalign::index {
 namespace {
 
 using serve::scoring::BoundedTopK;
-using serve::scoring::Dot;
+
+// Fixed k-means schedule of the coarse quantizer. Sampling keeps build
+// time flat in the table size.
+constexpr int kKMeansIterations = 8;
+constexpr int64_t kKMeansSampleRows = 65536;
 
 int64_t ResolveCentroids(int64_t requested, int64_t n) {
   if (n <= 0) return 0;
@@ -27,7 +31,9 @@ int64_t ResolveCentroids(int64_t requested, int64_t n) {
 }  // namespace
 
 IvfRetriever::IvfRetriever(serve::EmbeddingStore* store, IvfOptions options)
-    : store_(store), options_(options) {
+    : store_(store),
+      options_(options),
+      scorer_(options.rerank_candidates, options.pool, options.registry) {
   DESALIGN_CHECK(store_ != nullptr);
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
@@ -38,10 +44,6 @@ IvfRetriever::IvfRetriever(serve::EmbeddingStore* store, IvfOptions options)
   probes_ = &registry.GetCounter("index.probes");
   candidates_ = &registry.GetHistogram(
       "index.candidates_per_query",
-      obs::Histogram::ExponentialBuckets(1.0, 2.0, 30));
-  int8_queries_ = &registry.GetCounter("quant.int8_queries");
-  rerank_width_ = &registry.GetHistogram(
-      "quant.rerank_candidates",
       obs::Histogram::ExponentialBuckets(1.0, 2.0, 30));
   Rebuild();
 }
@@ -61,9 +63,9 @@ void IvfRetriever::Rebuild() {
   if (n > 0) {
     KMeansOptions kopts;
     kopts.num_centroids = ResolveCentroids(options_.num_centroids, n);
-    kopts.iterations = options_.kmeans_iterations;
+    kopts.iterations = kKMeansIterations;
     kopts.seed = options_.seed;
-    kopts.sample_rows = options_.kmeans_sample_rows;
+    kopts.sample_rows = kKMeansSampleRows;
     kopts.pool = options_.pool;
     built->coarse = TrainKMeans(snap, kopts);
     const int64_t k = built->coarse.num_centroids;
@@ -145,107 +147,49 @@ std::vector<serve::TopKResult> IvfRetriever::Retrieve(const float* queries,
 std::vector<serve::TopKResult> IvfRetriever::RetrieveDegraded(
     const float* queries, int64_t num_queries, int64_t k,
     serve::DegradationLevel level) const {
-  if (level < serve::DegradationLevel::kReducedProbe) {
-    return Retrieve(queries, num_queries, k);
-  }
-  int64_t nprobe = options_.degraded_nprobe > 0
-                       ? options_.degraded_nprobe
-                       : std::max<int64_t>(1, options_.nprobe / 4);
-  nprobe = std::min(std::max<int64_t>(nprobe, 1), options_.nprobe);
-  return RetrieveWithProbe(queries, num_queries, k, nprobe);
+  return RetrieveWithProbe(queries, num_queries, k,
+                           level >= serve::DegradationLevel::kReducedProbe
+                               ? std::max<int64_t>(1, options_.nprobe / 4)
+                               : options_.nprobe);
 }
 
 std::vector<serve::TopKResult> IvfRetriever::RetrieveWithProbe(
     const float* queries, int64_t num_queries, int64_t k,
     int64_t nprobe) const {
-  std::vector<serve::TopKResult> results(
-      num_queries > 0 ? static_cast<size_t>(num_queries) : 0);
-  if (num_queries <= 0) return results;
   const std::shared_ptr<const Built> built = Current();
-  const serve::EmbeddingSnapshot& snap = built->snap;
-  const int64_t n = snap.size();
-  k = std::min(k, n);
-  if (k <= 0) return results;
-  const int64_t d = snap.dim();
   const int64_t nc = built->coarse.num_centroids;
   nprobe = std::min(std::max<int64_t>(nprobe, 1), nc);
-
-  std::vector<float> q(queries, queries + num_queries * d);
-  serve::L2NormalizeRows(q.data(), num_queries, d);
-
-  const nn::TensorDtype dtype = snap.dtype();
-  const int64_t rerank =
-      serve::ResolveRerankCandidates(options_.rerank_candidates, k, n);
-
-  common::ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : common::ThreadPool::Global();
-  pool.ParallelFor(
-      0, num_queries,
-      [&](int64_t qb, int64_t qe) {
-        std::vector<float> scratch(static_cast<size_t>(d));
+  return scorer_.Score(
+      built->snap, queries, num_queries, k, /*source=*/nullptr,
+      [&](serve::scoring::ChunkScorer& chunk) {
         std::vector<float> distances(static_cast<size_t>(nc));
-        for (int64_t i = qb; i < qe; ++i) {
-          const float* qi = q.data() + i * d;
-          // Stage 1: nearest cells by squared L2, ties toward the smaller
-          // centroid id — the same rule assignment used at build time.
-          CentroidDistances(built->coarse, qi, distances.data());
+        std::vector<serve::scoring::IdRange> lists;
+        lists.reserve(built->shards.size() * static_cast<size_t>(nprobe));
+        for (int64_t i = chunk.begin(); i < chunk.end(); ++i) {
+          // Nearest cells by squared L2, ties toward the smaller centroid
+          // id — the same rule assignment used at build time.
+          CentroidDistances(built->coarse, chunk.query(i), distances.data());
           BoundedTopK probe(nprobe);
           for (int64_t c = 0; c < nc; ++c) {
             probe.Offer(-distances[static_cast<size_t>(c)], c);
           }
           const std::vector<int64_t> cells = probe.FinishIds();
-          // Stage 2: re-rank every entity in a probed list. The shard x
-          // cell visit order is irrelevant to the output — the candidate
-          // set is a set, and scoring::Better is total. fp32/bf16 rows are
-          // scored exactly in one pass; int8 rows go through the integer
-          // scan first, with only the best `rerank` survivors re-scored in
-          // fp32 (see docs/SERVING.md "Quantized serving").
-          BoundedTopK heap(dtype == nn::TensorDtype::kInt8 ? rerank : k);
-          int64_t offered = 0;
-          serve::scoring::Int8Query qq;
-          if (dtype == nn::TensorDtype::kInt8) {
-            qq = serve::scoring::QuantizeQuery(qi, d);
-          }
+          // Every entity of a probed list is a candidate. The shard x cell
+          // visit order is irrelevant to the output: the candidate set is
+          // a set, and scoring::Better is total.
+          lists.clear();
           for (const Shard& shard : built->shards) {
             for (const int64_t c : cells) {
               const int64_t lb = shard.list_start[static_cast<size_t>(c)];
               const int64_t le = shard.list_start[static_cast<size_t>(c + 1)];
-              for (int64_t e = lb; e < le; ++e) {
-                const int64_t id = shard.entries[static_cast<size_t>(e)];
-                if (dtype == nn::TensorDtype::kInt8) {
-                  heap.Offer(serve::scoring::Int8Score(
-                                 qq, snap.codes_row(id), snap.scale(id), d),
-                             id);
-                } else {
-                  heap.Offer(Dot(qi, snap.RowAsFloat(id, scratch.data()), d),
-                             id);
-                }
-              }
-              offered += le - lb;
+              lists.push_back({shard.entries.data() + lb, le - lb});
             }
           }
-          if (dtype == nn::TensorDtype::kInt8) {
-            BoundedTopK final_heap(k);
-            for (const int64_t id : heap.FinishIds()) {
-              final_heap.Offer(Dot(qi, snap.RowAsFloat(id, scratch.data()),
-                                   d),
-                               id);
-            }
-            results[static_cast<size_t>(i)] = final_heap.Finish();
-          } else {
-            results[static_cast<size_t>(i)] = heap.Finish();
-          }
-          candidates_->Record(static_cast<double>(offered));
+          candidates_->Record(static_cast<double>(chunk.ScoreIds(i, lists)));
         }
-      },
-      /*grain=*/1);
-  queries_->Increment(num_queries);
-  probes_->Increment(num_queries * nprobe);
-  if (dtype == nn::TensorDtype::kInt8) {
-    int8_queries_->Increment(num_queries);
-    rerank_width_->Record(static_cast<double>(rerank));
-  }
-  return results;
+        queries_->Increment(chunk.end() - chunk.begin());
+        probes_->Increment((chunk.end() - chunk.begin()) * nprobe);
+      });
 }
 
 int64_t IvfRetriever::dim() const { return Current()->snap.dim(); }

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "serve/embedding_store.h"
 #include "serve/retriever.h"
+#include "serve/scoring.h"
 #include "serve/stats.h"
 #include "serve/topk.h"
 
@@ -25,43 +26,39 @@ struct IvfOptions {
   int64_t num_centroids = 0;
   /// Cells probed per query by the Retriever-interface Retrieve; clamped
   /// to [1, num_centroids]. nprobe == num_centroids scans every list and
-  /// is byte-identical to brute force.
+  /// is byte-identical to brute force. The kReducedProbe rung probes
+  /// max(1, nprobe / 4).
   int64_t nprobe = 8;
-  int kmeans_iterations = 8;
-  /// Rows sampled for k-means training (0 = all); keeps build time flat
-  /// in the table size.
-  int64_t kmeans_sample_rows = 65536;
   uint64_t seed = common::Rng::kDefaultSeed;
   /// Inverted lists are split into this many contiguous-entity-range
   /// shards, built in parallel; clamped to [1, n]. Shard contents are
   /// independent of the shard count, so results are too.
   int num_shards = 4;
   common::ThreadPool* pool = nullptr;  ///< null = ThreadPool::Global()
-  /// Registry for `index.*` metrics; null = MetricsRegistry::Global().
+  /// Registry for `index.*` and `quant.*` metrics; null =
+  /// MetricsRegistry::Global().
   obs::MetricsRegistry* registry = nullptr;
-  /// int8 tables: stage-2 candidates kept by the integer scan per probed
-  /// set before the exact fp32 re-rank; same policy as
-  /// serve::TopKOptions::rerank_candidates (0 auto, >0 explicit, <0 all).
+  /// int8 tables: same meaning as serve::TopKOptions::rerank_candidates
+  /// (0 auto, >0 explicit, <0 all), applied to the probed candidates.
   int64_t rerank_candidates = 0;
-  /// Probe width served while the overload governor has the queue at
-  /// DegradationLevel::kReducedProbe or below; 0 = auto
-  /// (max(1, nprobe / 4)). Clamped to [1, nprobe] — degrading never scans
-  /// more than the configured probe.
-  int64_t degraded_nprobe = 0;
 };
 
 /// Two-stage deterministic ANN retriever: a k-means coarse quantizer
-/// buckets entities into per-shard inverted lists (stage 1); a query
-/// probes its `nprobe` nearest centroids and the surviving candidates are
-/// re-ranked with the exact shared scorer (stage 2, serve/scoring.h).
+/// buckets entities into per-shard inverted lists; a query probes its
+/// `nprobe` nearest centroids, and the entities of the probed lists are
+/// its candidates. Scoring and quantized tables follow the one contract of
+/// serve::scoring::BatchScorer (serve/scoring.h), the same as
+/// TopKRetriever's; IVF serves no full-precision refinement source.
 ///
 /// Determinism: the candidate set for a query is a pure function of
 /// (table bits, options) — seeded k-means, fixed iterations, id-ascending
-/// tie-breaks — and the re-rank uses the same Dot kernel and total order
-/// as TopKRetriever. Therefore results are bit-identical across thread
-/// counts and shard counts, and at full probe (nprobe = num_centroids)
-/// byte-identical to TopKRetriever::RetrieveBruteForce. Partial probe
-/// trades recall for latency; see docs/SERVING.md for tuning.
+/// tie-breaks — and cell assignment reads rows through
+/// EmbeddingSnapshot::RowAsFloat (fixed-order scalar dequantization), so
+/// it is dtype-deterministic too. Therefore results are bit-identical
+/// across thread counts and shard counts, and at full probe
+/// (nprobe = num_centroids) byte-identical to TopKRetriever over the same
+/// table and options. Partial probe trades recall for latency; see
+/// docs/SERVING.md for tuning.
 ///
 /// Reload: ReloadAndRebuild chains the store's validate-before-swap
 /// Reload with an index rebuild; queries in flight keep the previous
@@ -69,17 +66,8 @@ struct IvfOptions {
 /// build captures its own EmbeddingSnapshot. A failed reload leaves both
 /// the store and the index serving the last-good table.
 ///
-/// Quantized tables: list building and the coarse quantizer read rows
-/// through EmbeddingSnapshot::RowAsFloat (fixed-order scalar
-/// dequantization), so cell assignment is dtype-deterministic. For int8
-/// tables the probed lists are first scanned with the integer scorer and
-/// only the best `rerank_candidates` survivors are re-ranked in fp32; at
-/// full probe with rerank_candidates < 0 this is again byte-identical to
-/// RetrieveBruteForce over the same table.
-///
 /// Metrics (`index.*`): builds, build_ms, queries, probes,
-/// candidates_per_query; plus `quant.int8_queries` /
-/// `quant.rerank_candidates` when the table is int8.
+/// candidates_per_query; plus the scorer's `quant.*` series.
 class IvfRetriever final : public serve::Retriever {
  public:
   /// Builds the index from the store's current snapshot; `store` must
@@ -108,7 +96,7 @@ class IvfRetriever final : public serve::Retriever {
                                                    int64_t nprobe) const;
 
   /// Overload ladder: any rung at or past kReducedProbe probes
-  /// `degraded_nprobe` cells instead of `nprobe` — recall dips, the scan
+  /// max(1, nprobe / 4) cells instead of `nprobe` — recall dips, the scan
   /// shrinks, and results return to bit-identical full quality as soon as
   /// the governor steps back to kNone (the index itself is untouched).
   std::vector<serve::TopKResult> RetrieveDegraded(
@@ -149,14 +137,13 @@ class IvfRetriever final : public serve::Retriever {
 
   serve::EmbeddingStore* store_;
   IvfOptions options_;
+  serve::scoring::BatchScorer scorer_;
 
   obs::Counter* builds_;             // owned by the registry
   obs::Gauge* build_ms_;             // owned by the registry
   obs::Counter* queries_;            // owned by the registry
   obs::Counter* probes_;             // owned by the registry
   obs::Histogram* candidates_;       // owned by the registry
-  obs::Counter* int8_queries_;       // owned by the registry
-  obs::Histogram* rerank_width_;     // owned by the registry
 
   mutable common::Mutex mutex_;
   std::shared_ptr<const Built> built_ GUARDED_BY(mutex_);

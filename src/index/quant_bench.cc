@@ -10,18 +10,20 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "eval/retrieval_metrics.h"
-#include "index/bench_util.h"
 #include "index/ivf.h"
 #include "nn/quant.h"
 #include "obs/metrics.h"
+#include "serve/bench_util.h"
 #include "serve/embedding_store.h"
 #include "serve/row_source.h"
+#include "serve/scoring.h"
 #include "serve/topk.h"
 
 namespace desalign::index {
 
 namespace {
 
+namespace bench = serve::bench;
 using bench::BitExact;
 using bench::IdsOf;
 using bench::JsonNum;
@@ -152,7 +154,7 @@ QuantBenchReport RunQuantBench(const QuantBenchOptions& options) {
       if (is_int8) topk_options.rerank_source = &ckpt_source;
       serve::TopKRetriever retriever(&qstore, topk_options);
       out.rerank_candidates =
-          is_int8 ? serve::ResolveRerankCandidates(options.rerank_candidates,
+          is_int8 ? serve::scoring::ResolveRerankCandidates(options.rerank_candidates,
                                                    k, n)
                   : 0;
 

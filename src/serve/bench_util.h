@@ -1,5 +1,5 @@
-#ifndef DESALIGN_INDEX_BENCH_UTIL_H_
-#define DESALIGN_INDEX_BENCH_UTIL_H_
+#ifndef DESALIGN_SERVE_BENCH_UTIL_H_
+#define DESALIGN_SERVE_BENCH_UTIL_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -14,13 +14,13 @@
 #include "serve/embedding_store.h"
 #include "serve/retriever.h"
 
-namespace desalign::index::bench {
+namespace desalign::serve::bench {
 
-/// Shared plumbing for the index and quantization benches: clustered
-/// synthetic data (uniform noise has no structure for an IVF to find, and
-/// no near-duplicate neighbours for quantization to confuse — both would
-/// make the measured numbers meaningless), per-query latency measurement,
-/// and result comparison.
+/// Shared plumbing for the index, quantization and overload benches:
+/// clustered synthetic data (uniform noise has no structure for an IVF to
+/// find, and no near-duplicate neighbours for quantization to confuse —
+/// both would make the measured numbers meaningless), per-query latency
+/// measurement, result comparison and JSON numbers.
 
 using RetrieveFn = std::function<std::vector<serve::TopKResult>(
     const float*, int64_t, int64_t)>;
@@ -113,6 +113,6 @@ inline std::string JsonNum(double v) {
   return os.str();
 }
 
-}  // namespace desalign::index::bench
+}  // namespace desalign::serve::bench
 
-#endif  // DESALIGN_INDEX_BENCH_UTIL_H_
+#endif  // DESALIGN_SERVE_BENCH_UTIL_H_

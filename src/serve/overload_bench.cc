@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/batch_queue.h"
+#include "serve/bench_util.h"
 #include "serve/embedding_store.h"
 #include "serve/topk.h"
 
@@ -22,32 +23,8 @@ namespace desalign::serve {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-std::string JsonNum(double v) {
-  std::ostringstream os;
-  os.precision(6);
-  os << v;
-  return os.str();
-}
-
-/// Clustered synthetic rows (mixture around unit centers), matching the
-/// other benches: uniform noise would have no neighbourhood structure and
-/// make latency the only meaningful number.
-std::vector<float> MixtureRows(common::Rng& rng,
-                               const std::vector<float>& centers,
-                               int64_t clusters, int64_t n, int64_t dim,
-                               double noise) {
-  std::vector<float> rows(static_cast<size_t>(n * dim));
-  const auto amp = static_cast<float>(noise);
-  for (int64_t i = 0; i < n; ++i) {
-    const float* center = centers.data() + rng.UniformInt(clusters) * dim;
-    float* row = rows.data() + i * dim;
-    for (int64_t j = 0; j < dim; ++j) {
-      row[j] = center[j] + amp * rng.UniformF(-1.0f, 1.0f);
-    }
-  }
-  return rows;
-}
+using bench::JsonNum;
+using bench::MixtureRows;
 
 std::vector<float> QueryAt(const std::vector<float>& pool, int64_t dim,
                            int64_t i, int64_t pool_size) {
@@ -199,11 +176,12 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
     threads = static_cast<int>(std::min(4u, std::max(1u, hw)));
   }
 
+  // Clustered rows, as in the other benches: uniform noise would have no
+  // neighbourhood structure and make latency the only meaningful number.
   common::Rng rng(opt.seed);
   const int64_t clusters = std::min<int64_t>(256, opt.entities);
-  std::vector<float> centers(static_cast<size_t>(clusters * opt.dim));
-  for (auto& v : centers) v = rng.UniformF(-1.0f, 1.0f);
-  L2NormalizeRows(centers.data(), clusters, opt.dim);
+  const std::vector<float> centers =
+      bench::UnitCenters(rng, clusters, opt.dim);
   EmbeddingStore store = EmbeddingStore::FromRows(
       opt.entities, opt.dim,
       MixtureRows(rng, centers, clusters, opt.entities, opt.dim, 0.25));

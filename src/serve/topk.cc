@@ -1,10 +1,8 @@
 #include "serve/topk.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
-#include "serve/row_source.h"
 #include "serve/scoring.h"
 
 namespace desalign::serve {
@@ -12,7 +10,6 @@ namespace desalign::serve {
 namespace {
 
 using scoring::Better;
-using scoring::BoundedTopK;
 using scoring::Candidate;
 using scoring::Dot;
 
@@ -25,193 +22,40 @@ std::vector<float> NormalizedQueries(int64_t dim, const float* queries,
 
 }  // namespace
 
-int64_t ResolveRerankCandidates(int64_t requested, int64_t k, int64_t n) {
-  if (requested < 0) return n;  // exact mode: re-rank everything
-  int64_t c = requested == 0 ? std::max<int64_t>(4 * k, 64) : requested;
-  c = std::max(c, k);
-  return std::min(c, n);
-}
-
 TopKRetriever::TopKRetriever(const EmbeddingStore* store, TopKOptions options)
-    : store_(store), options_(options) {
+    : store_(store),
+      options_(options),
+      scorer_(options.rerank_candidates, options.pool, options.registry) {
   DESALIGN_CHECK(store_ != nullptr);
   if (options_.block_rows <= 0) options_.block_rows = 256;
-  obs::MetricsRegistry& registry = options_.registry != nullptr
-                                       ? *options_.registry
-                                       : obs::MetricsRegistry::Global();
-  int8_queries_ = &registry.GetCounter("quant.int8_queries");
-  bf16_queries_ = &registry.GetCounter("quant.bf16_queries");
-  source_errors_ = &registry.GetCounter("quant.rerank_source_errors");
-  rerank_width_ = &registry.GetHistogram(
-      "quant.rerank_candidates",
-      obs::Histogram::ExponentialBuckets(1.0, 2.0, 30));
 }
 
 std::vector<TopKResult> TopKRetriever::Retrieve(const float* queries,
                                                 int64_t num_queries,
                                                 int64_t k) const {
-  return RetrieveImpl(queries, num_queries, k, options_.rerank_source);
+  return Search(queries, num_queries, k, options_.rerank_source);
 }
 
 std::vector<TopKResult> TopKRetriever::RetrieveDegraded(
     const float* queries, int64_t num_queries, int64_t k,
     DegradationLevel level) const {
-  // kNoRefine drops the fp32 refinement source; anything milder (and
-  // fp32/bf16 tables regardless) has nothing to shed here.
-  const RowSource* source = level >= DegradationLevel::kNoRefine
-                                ? nullptr
-                                : options_.rerank_source;
-  return RetrieveImpl(queries, num_queries, k, source);
+  return Search(queries, num_queries, k,
+                level >= DegradationLevel::kNoRefine ? nullptr
+                                                     : options_.rerank_source);
 }
 
-std::vector<TopKResult> TopKRetriever::RetrieveImpl(
-    const float* queries, int64_t num_queries, int64_t k,
-    const RowSource* source) const {
-  std::vector<TopKResult> results(
-      num_queries > 0 ? static_cast<size_t>(num_queries) : 0);
-  if (num_queries <= 0) return results;
+std::vector<TopKResult> TopKRetriever::Search(const float* queries,
+                                              int64_t num_queries, int64_t k,
+                                              const RowSource* source) const {
   const EmbeddingSnapshot snap = store_->Snapshot();
-  k = std::min(k, snap.size());
-  if (k <= 0) return results;
-
-  const int64_t d = snap.dim();
   const int64_t n = snap.size();
   const int64_t block = options_.block_rows;
-  const std::vector<float> q = NormalizedQueries(d, queries, num_queries);
-
-  const nn::TensorDtype dtype = snap.dtype();
-  const int64_t rerank =
-      ResolveRerankCandidates(options_.rerank_candidates, k, n);
-  // Full-precision refinement only applies to the int8 stage-2, and only
-  // when the source matches the snapshot's shape (a reload may have
-  // swapped tables since the source was opened).
-  const bool refine = source != nullptr &&
-                      dtype == nn::TensorDtype::kInt8 &&
-                      source->rows() == n && source->dim() == d;
-  if (source != nullptr && dtype == nn::TensorDtype::kInt8 && !refine) {
-    source_errors_->Increment(1);
-  }
-
-  common::ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : common::ThreadPool::Global();
-  pool.ParallelFor(
-      0, num_queries,
-      [&](int64_t qb, int64_t qe) {
-        switch (dtype) {
-          case nn::TensorDtype::kFloat32: {
-            std::vector<BoundedTopK> heaps;
-            heaps.reserve(static_cast<size_t>(qe - qb));
-            for (int64_t i = qb; i < qe; ++i) heaps.emplace_back(k);
-            const float* base = snap.row(0);
-            for (int64_t b0 = 0; b0 < n; b0 += block) {
-              const int64_t b1 = std::min(n, b0 + block);
-              // Block scan: the target block stays cache-resident while
-              // every query of this chunk is scored against it; each query
-              // row lives in L1 for its pass over the block.
-              for (int64_t i = qb; i < qe; ++i) {
-                const float* qi = q.data() + i * d;
-                BoundedTopK& heap = heaps[static_cast<size_t>(i - qb)];
-                for (int64_t r = b0; r < b1; ++r) {
-                  heap.Offer(Dot(qi, base + r * d, d), r);
-                }
-              }
-            }
-            for (int64_t i = qb; i < qe; ++i) {
-              results[static_cast<size_t>(i)] =
-                  heaps[static_cast<size_t>(i - qb)].Finish();
-            }
-            break;
-          }
-          case nn::TensorDtype::kBf16: {
-            // One exact pass: decode each block once into a worker-local
-            // fp32 buffer (decode is a bit shift, no rounding), then score
-            // with the shared Dot. Scores depend only on the stored bf16
-            // patterns, never on block size or thread count.
-            std::vector<BoundedTopK> heaps;
-            heaps.reserve(static_cast<size_t>(qe - qb));
-            for (int64_t i = qb; i < qe; ++i) heaps.emplace_back(k);
-            std::vector<float> decoded(static_cast<size_t>(block * d));
-            for (int64_t b0 = 0; b0 < n; b0 += block) {
-              const int64_t b1 = std::min(n, b0 + block);
-              nn::quant::Bf16DecodeRow(snap.bf16_row(b0), (b1 - b0) * d,
-                                       decoded.data());
-              for (int64_t i = qb; i < qe; ++i) {
-                const float* qi = q.data() + i * d;
-                BoundedTopK& heap = heaps[static_cast<size_t>(i - qb)];
-                for (int64_t r = b0; r < b1; ++r) {
-                  heap.Offer(Dot(qi, decoded.data() + (r - b0) * d, d), r);
-                }
-              }
-            }
-            for (int64_t i = qb; i < qe; ++i) {
-              results[static_cast<size_t>(i)] =
-                  heaps[static_cast<size_t>(i - qb)].Finish();
-            }
-            break;
-          }
-          case nn::TensorDtype::kInt8: {
-            // Stage 1: integer candidate scan. Each query is quantized
-            // once; approximate scores select the best `rerank` rows under
-            // the same strict total order, so the surviving candidate set
-            // is independent of scan order, block size, threads and ISA.
-            std::vector<scoring::Int8Query> qq;
-            std::vector<BoundedTopK> heaps;
-            qq.reserve(static_cast<size_t>(qe - qb));
-            heaps.reserve(static_cast<size_t>(qe - qb));
-            for (int64_t i = qb; i < qe; ++i) {
-              qq.push_back(scoring::QuantizeQuery(q.data() + i * d, d));
-              heaps.emplace_back(rerank);
-            }
-            for (int64_t b0 = 0; b0 < n; b0 += block) {
-              const int64_t b1 = std::min(n, b0 + block);
-              for (int64_t i = qb; i < qe; ++i) {
-                const scoring::Int8Query& qi =
-                    qq[static_cast<size_t>(i - qb)];
-                BoundedTopK& heap = heaps[static_cast<size_t>(i - qb)];
-                for (int64_t r = b0; r < b1; ++r) {
-                  heap.Offer(
-                      scoring::Int8Score(qi, snap.codes_row(r), snap.scale(r),
-                                         d),
-                      r);
-                }
-              }
-            }
-            // Stage 2: exact fp32 re-rank of the survivors with the shared
-            // Dot/Better contract. Rows come from the full-precision
-            // source when one is attached, else from fixed-order scalar
-            // dequantization — either way the final top-k is bit-identical
-            // across threads, block sizes and ISA.
-            std::vector<float> scratch(static_cast<size_t>(d));
-            int64_t fetch_errors = 0;
-            for (int64_t i = qb; i < qe; ++i) {
-              const float* qi = q.data() + i * d;
-              BoundedTopK final_heap(k);
-              for (const int64_t id :
-                   heaps[static_cast<size_t>(i - qb)].FinishIds()) {
-                const float* row;
-                if (refine && source->Row(id, scratch.data())) {
-                  row = scratch.data();
-                } else {
-                  if (refine) ++fetch_errors;
-                  row = snap.RowAsFloat(id, scratch.data());
-                }
-                final_heap.Offer(Dot(qi, row, d), id);
-              }
-              results[static_cast<size_t>(i)] = final_heap.Finish();
-            }
-            if (fetch_errors > 0) source_errors_->Increment(fetch_errors);
-            break;
-          }
-        }
-      },
-      /*grain=*/1);
-  if (dtype == nn::TensorDtype::kInt8) {
-    int8_queries_->Increment(num_queries);
-    rerank_width_->Record(static_cast<double>(rerank));
-  } else if (dtype == nn::TensorDtype::kBf16) {
-    bf16_queries_->Increment(num_queries);
-  }
-  return results;
+  return scorer_.Score(snap, queries, num_queries, k, source,
+                       [&](scoring::ChunkScorer& chunk) {
+                         for (int64_t b0 = 0; b0 < n; b0 += block) {
+                           chunk.OfferRows(b0, std::min(n, b0 + block));
+                         }
+                       });
 }
 
 std::vector<TopKResult> TopKRetriever::Retrieve(const tensor::Tensor& queries,

@@ -8,11 +8,11 @@
 #include "obs/metrics.h"
 #include "serve/embedding_store.h"
 #include "serve/retriever.h"
+#include "serve/row_source.h"
+#include "serve/scoring.h"
 #include "tensor/tensor.h"
 
 namespace desalign::serve {
-
-class RowSource;
 
 struct TopKOptions {
   /// Target rows scanned per block; a block's rows stay hot in cache while
@@ -26,10 +26,11 @@ struct TopKOptions {
   /// survive into the exact fp32 re-rank that produces the final top-k.
   ///   0  (default) auto: C = min(n, max(4k, 64));
   ///   >0 explicit C, clamped to [k, n];
-  ///   <0 exact mode: C = n — every row is re-ranked in fp32, making the
-  ///      result identical to RetrieveBruteForce over the same table (the
-  ///      CI bit-exactness gate). fp32/bf16 tables score exactly in one
-  ///      pass and ignore this field.
+  ///   <0 exact mode: C = n — every row is scored in fp32 (the int8 pass
+  ///      would keep them all and is skipped), making the result identical
+  ///      to RetrieveBruteForce over the same table (the CI bit-exactness
+  ///      gate). fp32/bf16 tables score exactly in one pass and ignore
+  ///      this field.
   int64_t rerank_candidates = 0;
   /// int8 tables only: optional full-precision refinement. When set, the
   /// stage-2 re-rank scores candidates with fp32 rows fetched from this
@@ -47,34 +48,19 @@ struct TopKOptions {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// Resolves the rerank_candidates policy above to a concrete C for one
-/// (k, n) query; shared by TopKRetriever and the IVF second stage.
-int64_t ResolveRerankCandidates(int64_t requested, int64_t k, int64_t n);
-
 /// Batched exact cosine top-k over an EmbeddingStore — the brute-force
-/// Retriever. Queries are L2-normalized internally, so scores are true
-/// cosine similarities. Two paths share one dot-product kernel and one
-/// ordering contract (serve/scoring.h) and therefore return bit-identical
-/// results:
+/// Retriever. Two paths return bit-identical results:
 ///
-///  - Retrieve: blocked scan with a per-query bounded heap, parallelized
-///    across the query batch via ThreadPool::ParallelFor;
+///  - Retrieve: a block-major walk over every row, parallelized across the
+///    query batch; each block stays cache-resident while every query of a
+///    worker's chunk scores it. Scoring, quantized tables and refinement
+///    follow the one contract of scoring::BatchScorer (serve/scoring.h);
 ///  - RetrieveBruteForce: single-threaded full score vector + sort, the
 ///    exact reference used by the tests and the bench baseline.
 ///
 /// Each call scans one EmbeddingSnapshot, so retrieval racing a concurrent
 /// EmbeddingStore::Reload sees either the fully-old or the fully-new
 /// table, never a mix.
-///
-/// Quantized tables: bf16 rows are decoded (exactly) block-by-block and
-/// scored with the same fp32 Dot, one pass. int8 rows go through two
-/// stages — an integer candidate scan (scoring::Int8Score, scalar or AVX2,
-/// bit-identical either way) keeps the best `rerank_candidates` per query,
-/// then those rows are re-scored with the shared fp32 Dot/Better contract
-/// — from dequantized codes, or from original fp32 rows when a
-/// `rerank_source` is attached. Both stages use strict total orders, so
-/// results stay bit-identical across thread counts, block sizes and ISA —
-/// see docs/SERVING.md "Quantized serving".
 ///
 /// Edge-case contract (regression-tested in tests/serve/topk_test.cc):
 /// k <= 0 yields empty per-query results; k > size() is clamped to
@@ -112,18 +98,14 @@ class TopKRetriever : public Retriever {
   const EmbeddingStore& store() const { return *store_; }
 
  private:
-  /// Shared scan; `source` is the refinement row source to use for the
-  /// int8 stage-2 (null = dequantized codes only).
-  std::vector<TopKResult> RetrieveImpl(const float* queries,
-                                       int64_t num_queries, int64_t k,
-                                       const RowSource* source) const;
+  /// The one query path; `source` is the rung's refinement source (null
+  /// at kNoRefine).
+  std::vector<TopKResult> Search(const float* queries, int64_t num_queries,
+                                 int64_t k, const RowSource* source) const;
 
   const EmbeddingStore* store_;
   TopKOptions options_;
-  obs::Counter* int8_queries_;    // owned by the registry
-  obs::Counter* bf16_queries_;    // owned by the registry
-  obs::Counter* source_errors_;   // owned by the registry
-  obs::Histogram* rerank_width_;  // owned by the registry
+  scoring::BatchScorer scorer_;
 };
 
 }  // namespace desalign::serve

@@ -3,7 +3,8 @@
 
 Two modes:
 
-  --fixtures   every tests/analyze/fixtures/ file is scanned
+  --fixtures   every tests/analyze/fixtures/ file (C++ sources and
+               .cmake link-edge fixtures) is scanned
                individually: bad_* files must produce exactly the
                findings declared by their `ANALYZE-EXPECT: <rule>`
                marker lines (and exit 1); clean_* / allow_* files must
@@ -69,7 +70,7 @@ def fixture_files():
     for dirpath, dirnames, filenames in os.walk(FIXTURE_DIR):
         dirnames.sort()
         for name in sorted(filenames):
-            if name.endswith((".cc", ".h")):
+            if name.endswith((".cc", ".h", ".cmake")):
                 found.append(os.path.join(dirpath, name))
     return found
 

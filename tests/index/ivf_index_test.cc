@@ -7,12 +7,14 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "nn/quant.h"
 #include "obs/metrics.h"
 #include "serve/embedding_store.h"
 #include "serve/topk.h"
@@ -209,6 +211,44 @@ TEST(IvfRetrieverTest, MetricsAreWired) {
   EXPECT_EQ(registry.GetCounter("index.probes").value(), 8);
   EXPECT_EQ(
       registry.GetHistogram("index.candidates_per_query").count(), 4);
+  EXPECT_EQ(registry.GetCounter("quant.bf16_queries").value(), 0);
+
+  auto bf16 = std::move(store.Quantize(nn::TensorDtype::kBf16).value());
+  IvfRetriever bf16_ivf(&bf16, options);
+  (void)bf16_ivf.Retrieve(queries.data(), 4, 3);
+  EXPECT_EQ(registry.GetCounter("quant.bf16_queries").value(), 4);
+}
+
+TEST(IvfRetrieverTest, DegradationRungsShrinkTheProbe) {
+  // Every rung at or past kReducedProbe probes max(1, nprobe / 4) cells,
+  // here 2 of 8; kNone serves the full probe again.
+  obs::MetricsRegistry registry;
+  const int64_t dim = 16;
+  const int64_t n = 1200;
+  auto store = EmbeddingStore::FromRows(
+      n, dim, ClusteredRows(n, dim, 16, 81));
+  auto qstore = std::move(store.Quantize(nn::TensorDtype::kInt8).value());
+  const auto queries = ClusteredRows(20, dim, 16, 82);
+  IvfOptions options;
+  options.num_centroids = 16;
+  options.nprobe = 8;
+  options.registry = &registry;
+  const IvfRetriever ivf(&qstore, options);
+  const obs::Counter& probes = registry.GetCounter("index.probes");
+
+  const auto reduced = ivf.RetrieveWithProbe(queries.data(), 20, 10, 2);
+  for (const auto level : {serve::DegradationLevel::kReducedProbe,
+                           serve::DegradationLevel::kNoRefine}) {
+    const int64_t before = probes.value();
+    ExpectSameResults(ivf.RetrieveDegraded(queries.data(), 20, 10, level),
+                      reduced);
+    EXPECT_EQ(probes.value() - before, 20 * 2);
+  }
+  const int64_t before = probes.value();
+  ExpectSameResults(ivf.RetrieveDegraded(queries.data(), 20, 10,
+                                         serve::DegradationLevel::kNone),
+                    ivf.Retrieve(queries.data(), 20, 10));
+  EXPECT_EQ(probes.value() - before, 2 * 20 * 8);
 }
 
 class IvfReloadTest : public ::testing::Test {

@@ -1,8 +1,9 @@
 // Determinism suite for the quantized serving path: the int8 candidate
 // scan + fp32 re-rank (and the bf16 single-pass scan) must return
 // bit-identical results across thread counts, block sizes, shard counts
-// and kernel ISA, and IVF-over-int8 at full probe with exact re-rank must
-// reproduce the dequantized brute-force reference byte for byte. Any
+// and kernel ISA, and IVF over a quantized table at full probe with exact
+// re-rank must reproduce the dequantized brute-force reference byte for
+// byte. Any
 // divergence here means a float accumulated in a thread-dependent order —
 // exactly the bug class the serving determinism contract forbids.
 
@@ -124,28 +125,31 @@ TEST(QuantDeterminismTest, IvfOverInt8IdenticalAcrossShardsAndThreads) {
   IsaGuard guard;
   auto store = MakeStore(35);
   const auto queries = MakeQueries(36);
-  EmbeddingStore qstore =
-      std::move(store.Quantize(TensorDtype::kInt8).value());
 
-  std::vector<std::vector<TopKResult>> runs;
-  for (const int threads : {1, 4}) {
-    common::ThreadPool pool(threads);
-    for (const int shards : {1, 3, 4}) {
-      for (const auto isa : {tensor::kernels::IsaLevel::kScalar,
-                             tensor::kernels::IsaLevel::kAvx2}) {
-        tensor::kernels::SetIsaOverride(isa);
-        index::IvfOptions options;
-        options.pool = &pool;
-        options.num_shards = shards;
-        options.num_centroids = 16;
-        options.nprobe = 4;
-        const index::IvfRetriever ivf(&qstore, options);
-        runs.push_back(ivf.Retrieve(queries.data(), kQueries, kTopK));
+  for (const TensorDtype dtype : {TensorDtype::kInt8, TensorDtype::kBf16}) {
+    EmbeddingStore qstore = std::move(store.Quantize(dtype).value());
+    std::vector<std::vector<TopKResult>> runs;
+    for (const int threads : {1, 4}) {
+      common::ThreadPool pool(threads);
+      for (const int shards : {1, 3, 4}) {
+        for (const auto isa : {tensor::kernels::IsaLevel::kScalar,
+                               tensor::kernels::IsaLevel::kAvx2}) {
+          tensor::kernels::SetIsaOverride(isa);
+          index::IvfOptions options;
+          options.pool = &pool;
+          options.num_shards = shards;
+          options.num_centroids = 16;
+          options.nprobe = 4;
+          const index::IvfRetriever ivf(&qstore, options);
+          runs.push_back(ivf.Retrieve(queries.data(), kQueries, kTopK));
+        }
       }
     }
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    ExpectSameResults(runs[0], runs[r], "ivf config " + std::to_string(r));
+    for (size_t r = 1; r < runs.size(); ++r) {
+      ExpectSameResults(runs[0], runs[r],
+                        std::string(nn::DtypeName(dtype)) + " ivf config " +
+                            std::to_string(r));
+    }
   }
 }
 
@@ -153,24 +157,25 @@ TEST(QuantDeterminismTest, IvfFullProbeExactRerankMatchesBruteForce) {
   IsaGuard guard;
   auto store = MakeStore(37);
   const auto queries = MakeQueries(38);
-  EmbeddingStore qstore =
-      std::move(store.Quantize(TensorDtype::kInt8).value());
 
-  serve::TopKOptions exact;
-  exact.rerank_candidates = -1;
-  const serve::TopKRetriever brute(&qstore, exact);
-  const auto reference =
-      brute.RetrieveBruteForce(queries.data(), kQueries, kTopK);
+  for (const TensorDtype dtype : {TensorDtype::kInt8, TensorDtype::kBf16}) {
+    EmbeddingStore qstore = std::move(store.Quantize(dtype).value());
+    serve::TopKOptions exact;
+    exact.rerank_candidates = -1;
+    const serve::TopKRetriever brute(&qstore, exact);
+    const auto reference =
+        brute.RetrieveBruteForce(queries.data(), kQueries, kTopK);
 
-  index::IvfOptions options;
-  options.num_centroids = 16;
-  options.num_shards = 3;
-  options.rerank_candidates = -1;  // exact fp32 re-rank of every candidate
-  const index::IvfRetriever ivf(&qstore, options);
-  ExpectSameResults(
-      ivf.RetrieveWithProbe(queries.data(), kQueries, kTopK,
-                            ivf.num_centroids()),
-      reference, "ivf full probe");
+    index::IvfOptions options;
+    options.num_centroids = 16;
+    options.num_shards = 3;
+    options.rerank_candidates = -1;  // exact fp32 re-rank of every candidate
+    const index::IvfRetriever ivf(&qstore, options);
+    ExpectSameResults(
+        ivf.RetrieveWithProbe(queries.data(), kQueries, kTopK,
+                              ivf.num_centroids()),
+        reference, std::string(nn::DtypeName(dtype)) + " ivf full probe");
+  }
 }
 
 TEST(QuantDeterminismTest, RefinedRerankIdenticalAcrossThreadsAndIsa) {

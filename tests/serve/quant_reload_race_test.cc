@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -118,6 +119,16 @@ TEST(QuantReloadRaceTest, DtypeSwapsUnderConcurrentReadersStayCoherent) {
         }
       }
     });
+  }
+
+  // The 120 reloads below take a few milliseconds, less than a loaded
+  // host may take to schedule a new thread, so the storm starts only once
+  // a retriever reader is live (bounded, in case the readers fail).
+  const auto live_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (queries_served.load() == 0 &&
+         std::chrono::steady_clock::now() < live_by) {
+    std::this_thread::yield();
   }
 
   ReloadOptions fast;

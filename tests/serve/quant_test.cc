@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "common/rng.h"
 #include "nn/checkpoint.h"
 #include "nn/quant.h"
+#include "obs/metrics.h"
 #include "serve/embedding_store.h"
 #include "serve/row_source.h"
 #include "serve/scoring.h"
@@ -231,15 +233,15 @@ TEST(QuantizeQueryTest, SanitizesNonFiniteCoordinatesToZero) {
 
 TEST(ResolveRerankCandidatesTest, PolicyMatrix) {
   // auto: min(n, max(4k, 64))
-  EXPECT_EQ(ResolveRerankCandidates(0, 10, 100000), 64);
-  EXPECT_EQ(ResolveRerankCandidates(0, 50, 100000), 200);
-  EXPECT_EQ(ResolveRerankCandidates(0, 10, 40), 40);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(0, 10, 100000), 64);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(0, 50, 100000), 200);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(0, 10, 40), 40);
   // explicit: clamped to [k, n]
-  EXPECT_EQ(ResolveRerankCandidates(500, 10, 100000), 500);
-  EXPECT_EQ(ResolveRerankCandidates(5, 10, 100000), 10);
-  EXPECT_EQ(ResolveRerankCandidates(500, 10, 200), 200);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(500, 10, 100000), 500);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(5, 10, 100000), 10);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(500, 10, 200), 200);
   // exact: all rows
-  EXPECT_EQ(ResolveRerankCandidates(-1, 10, 100000), 100000);
+  EXPECT_EQ(scoring::ResolveRerankCandidates(-1, 10, 100000), 100000);
 }
 
 class QuantStoreTest : public ::testing::Test {
@@ -530,15 +532,23 @@ TEST(RowSourceTest, MismatchedOrFailingSourceFallsBackToDequantizedRerank) {
 
   // Shape mismatch (a reload swapped tables since the source was opened)
   // disables the source for the call; per-row fetch failures fall back
-  // row by row. Either way the result is the self-contained re-rank.
+  // row by row. Either way the result is the self-contained re-rank, and
+  // the retriever counts one source error per call or one per failed
+  // fetch (8 queries x the C = 64 survivors of the auto re-rank width).
   const StubSource wrong_shape(399, 12, /*succeed=*/true);
   const StubSource failing(400, 12, /*succeed=*/false);
-  for (const RowSource* source : {static_cast<const RowSource*>(&wrong_shape),
-                                  static_cast<const RowSource*>(&failing)}) {
+  const int64_t fetches = 8 * scoring::ResolveRerankCandidates(0, 5, 400);
+  for (const auto& [source, errors] :
+       {std::pair<const RowSource*, int64_t>{&wrong_shape, 1},
+        std::pair<const RowSource*, int64_t>{&failing, fetches}}) {
+    obs::MetricsRegistry registry;
     TopKOptions options;
     options.rerank_source = source;
+    options.registry = &registry;
     const TopKRetriever refined(&qstore, options);
     ExpectBitExact(refined.Retrieve(queries.data(), 8, 5), want);
+    EXPECT_EQ(registry.GetCounter("quant.rerank_source_errors").value(),
+              errors);
   }
 }
 

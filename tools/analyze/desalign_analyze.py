@@ -25,8 +25,11 @@ three whole-program contracts:
 
   layering          The module dependency DAG in
                     tools/analyze/layering.toml is enforced against the
-                    include graph: a file in src/<m>/ may only #include
-                    from modules <m> is declared to depend on. tests/,
+                    include graph and the link graph: a file in src/<m>/
+                    may only #include from modules <m> is declared to
+                    depend on, and target_link_libraries(desalign_<m> ...)
+                    in src/<m>/CMakeLists.txt may only link the
+                    desalign_<dep> libraries of those modules. tests/,
                     bench/ and tools/ see everything; a new src/ module
                     must be declared before it links anywhere.
 
@@ -79,7 +82,7 @@ RULES = {
     "lock-order": "cycle in the global lock-acquisition graph — a "
                   "potential deadlock; fix the order or document it in "
                   "tools/analyze/lock_order.toml",
-    "layering": "include crosses the module DAG in "
+    "layering": "include or link edge crosses the module DAG in "
                 "tools/analyze/layering.toml; depend downward or move "
                 "the shared code down a layer",
     "discarded-status": "result of a fallible API is dropped; check it, "
@@ -95,6 +98,10 @@ FIXTURE_DIR_MARKERS = (
     os.path.join("tests", "lint", "fixtures"),
     os.path.join("tests", "analyze", "fixtures"),
 )
+
+# CMake sources: the layering pass reads their link edges; the C++ passes
+# skip them.
+CMAKE_SUFFIXES = ("CMakeLists.txt", ".cmake")
 
 # ---------------------------------------------------------------------------
 # Shared source model
@@ -686,12 +693,60 @@ def load_layering(root):
     return deps
 
 
+LINK_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+LIBRARY_RE = re.compile(r"^desalign_([A-Za-z0-9_]+)$")
+
+
+def cmake_link_edges(sf):
+    """(line, module, dep) for every desalign_<dep> that a
+    target_link_libraries(desalign_<module> ...) call in `sf` links."""
+    tokens = []
+    for idx, raw in enumerate(sf.raw):
+        code = raw.split("#", 1)[0]  # CMake comments run to end of line
+        tokens.extend((idx + 1, t) for t in LINK_TOKEN_RE.findall(code))
+    edges = []
+    for i, (_, tok) in enumerate(tokens[:-1]):
+        if tok != "target_link_libraries" or tokens[i + 1][1] != "(":
+            continue
+        args = []
+        for line, arg in tokens[i + 2:]:
+            if arg == ")":
+                break
+            args.append((line, arg))
+        target = LIBRARY_RE.match(args[0][1]) if args else None
+        if target is None:
+            continue
+        for line, arg in args[1:]:
+            dep = LIBRARY_RE.match(arg)
+            if dep is not None:
+                edges.append((line, target.group(1), dep.group(1)))
+    return edges
+
+
+def check_link_edges(found, sf, deps):
+    for line, module, dep in cmake_link_edges(sf):
+        if dep not in deps:
+            continue  # not a src/ module library
+        if module not in deps:
+            emit(found, sf, line, "layering",
+                 f"module '{module}' is not declared in "
+                 f"tools/analyze/layering.toml")
+        elif dep != module and dep not in deps[module]:
+            allowed = ", ".join(sorted(deps[module])) or "none"
+            emit(found, sf, line, "layering",
+                 f"module '{module}' may not link 'desalign_{dep}' "
+                 f"(allowed: {allowed})")
+
+
 def pass_layering(found, sources, root):
     deps = load_layering(root)
     for sf in sources:
         m = SRC_MODULE_RE.search(sf.norm)
         if m is None:
             continue  # tests/, bench/, tools/ see everything
+        if sf.norm.endswith(CMAKE_SUFFIXES):
+            check_link_edges(found, sf, deps)
+            continue
         module = m.group(1)
         undeclared = module not in deps
         for idx, raw in enumerate(sf.raw):
@@ -926,8 +981,11 @@ def main(argv):
     root = args.root or _REPO_ROOT
     paths = args.paths or ["src", "tests"]
 
-    files = fm.collect_files(paths, root, FIXTURE_DIR_MARKERS, TOOL)
+    files = fm.collect_files(paths, root, FIXTURE_DIR_MARKERS, TOOL,
+                             fm.CXX_EXTENSIONS + CMAKE_SUFFIXES)
     sources = [SourceFile(full, rel) for full, rel in files]
+    cxx_sources = [sf for sf in sources
+                   if not sf.norm.endswith(CMAKE_SUFFIXES)]
 
     # compile_commands.json drives the TU cross-check: every in-scope .cc
     # must be part of the build, or the analyzer is reasoning about code
@@ -946,11 +1004,11 @@ def main(argv):
     for sf in sources:
         scan_pragma_abuse(found, sf)
     if "lock-order" in passes:
-        pass_lock_order(found, sources, root)
+        pass_lock_order(found, cxx_sources, root)
     if "layering" in passes:
         pass_layering(found, sources, root)
     if "discarded-status" in passes:
-        pass_discarded_status(found, sources)
+        pass_discarded_status(found, cxx_sources)
 
     return fm.report(found, RULES, len(sources), TOOL)
 

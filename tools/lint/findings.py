@@ -145,13 +145,15 @@ def report(findings, rules, num_files, tool_name, out=None, err=None):
     return EXIT_FINDINGS if ordered else EXIT_CLEAN
 
 
-def collect_files(paths, root, skip_dir_markers, tool_name):
+def collect_files(paths, root, skip_dir_markers, tool_name,
+                  suffixes=CXX_EXTENSIONS):
     """Expands files/directories into (full_path, display_path) pairs.
 
-    Directories are walked deterministically; any directory whose
-    relative path contains one of `skip_dir_markers` is pruned (fixture
-    corpora stay scannable when named explicitly). Exits 2 on a missing
-    path, matching the shared usage-error contract.
+    Directories are walked deterministically, keeping file names that end
+    in one of `suffixes`; any directory whose relative path contains one
+    of `skip_dir_markers` is pruned (fixture corpora stay scannable when
+    named explicitly). Exits 2 on a missing path, matching the shared
+    usage-error contract.
     """
     files = []
     for p in paths:
@@ -167,7 +169,7 @@ def collect_files(paths, root, skip_dir_markers, tool_name):
                     dirnames[:] = []
                     continue
                 for name in sorted(filenames):
-                    if name.endswith(CXX_EXTENSIONS):
+                    if name.endswith(suffixes):
                         f = os.path.join(dirpath, name)
                         files.append((f, os.path.relpath(f, root)))
         else:
