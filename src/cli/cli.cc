@@ -21,9 +21,8 @@
 #include "eval/csv.h"
 #include "eval/harness.h"
 #include "common/table.h"
-#include "index/index_bench.h"
 #include "index/ivf.h"
-#include "index/quant_bench.h"
+#include "index/retrieval_bench.h"
 #include "nn/quant.h"
 #include "kg/io.h"
 #include "kg/presets.h"
@@ -694,13 +693,16 @@ Status CmdBenchKernels(const std::vector<std::string>& args,
   return Status::Ok();
 }
 
-// bench-index: brute force vs the two-stage IVF index across an
-// entity-count sweep on clustered synthetic embeddings; writes
-// BENCH_index.json (schema desalign.index_bench.v1, gated by tools/ci.sh).
-Status CmdBenchIndex(const std::vector<std::string>& args,
-                     std::ostream& out) {
+// bench-retrieval: every retrieval path (brute force over fp32, bf16 and
+// int8, IVF at full and partial probe) across an entity-count sweep, one
+// table, query set and truth per size; writes BENCH_retrieval.json
+// (schema desalign.retrieval_bench.v1, gated by tools/ci.sh --index and
+// --quant).
+Status CmdBenchRetrieval(const std::vector<std::string>& args,
+                         std::ostream& out) {
   FlagParser parser(
-      "desalign bench-index: IVF two-stage index vs brute-force retrieval");
+      "desalign bench-retrieval: brute force over fp32/bf16/int8 and the "
+      "IVF index, against one fp32 truth per size");
   ThreadsFlag threads;
   threads.Register(parser);
   std::string out_path;
@@ -711,10 +713,12 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   int64_t nprobe;
   int64_t centroids;
   int64_t shards;
+  int64_t rerank;
   int64_t clusters;
   double noise;
   bool smoke;
-  parser.AddString("out", "BENCH_index.json", "output JSON path", &out_path);
+  parser.AddString("out", "BENCH_retrieval.json", "output JSON path",
+                   &out_path);
   parser.AddString("entities-list", "10000,100000,1000000",
                    "comma-separated entity counts to sweep", &entities_list);
   parser.AddInt64("dim", 64, "embedding dimension", &dim);
@@ -724,6 +728,9 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   parser.AddInt64("centroids", 0, "IVF coarse cells (0 = ~sqrt(n))",
                   &centroids);
   parser.AddInt64("shards", 4, "IVF inverted-list shards", &shards);
+  parser.AddInt64("rerank", 0,
+                  "int8 stage-2 re-rank width (0 = auto, <0 = all rows)",
+                  &rerank);
   parser.AddInt64("clusters", 256, "synthetic mixture components",
                   &clusters);
   parser.AddDouble("noise", 0.25, "synthetic per-coordinate noise",
@@ -739,7 +746,7 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
     return Status::InvalidArgument("--queries and --k must be positive");
   }
 
-  index::IndexBenchOptions options;
+  index::RetrievalBenchOptions options;
   options.entity_counts.clear();
   for (const auto& tok : common::Split(entities_list, ',')) {
     const std::string trimmed(common::Trim(tok));
@@ -760,11 +767,12 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   options.nprobe = nprobe;
   options.num_centroids = centroids;
   options.num_shards = static_cast<int>(shards);
+  options.rerank_candidates = rerank;
   options.clusters = clusters;
   options.noise = noise;
   options.smoke = smoke;
 
-  const auto report = index::RunIndexBench(options);
+  const auto report = index::RunRetrievalBench(options);
 
   std::ofstream file(out_path);
   if (!file) {
@@ -775,16 +783,29 @@ Status CmdBenchIndex(const std::vector<std::string>& args,
   file.close();
 
   for (const auto& c : report.cases) {
-    out << c.entities << " entities (dim " << c.dim << ", "
+    out << c.entities << " entities (dim " << c.dim << ", k " << c.k
+        << ", truth " << common::Secs(c.truth_ms / 1e3) << "; IVF "
         << c.num_centroids << " cells, " << c.shards << " shards, built "
         << common::Secs(c.build_ms / 1e3) << "):\n";
     for (const auto& p : c.paths) {
-      out << "  " << p.path << ": p50 "
+      out << "  " << p.path << ": " << p.table_bytes << " B ("
+          << common::FormatDouble(p.memory_reduction, 2) << "x), batch "
+          << common::FormatDouble(p.batch_ms, 1) << " ms, p50 "
           << common::FormatDouble(p.p50_ms, 3) << " ms, p99 "
-          << common::FormatDouble(p.p99_ms, 3) << " ms, "
-          << common::FormatDouble(p.qps, 0) << " qps, recall@" << c.k << " "
-          << common::FormatDouble(p.recall_at_k, 4)
-          << (p.bitexact ? " (bit-exact)" : "") << "\n";
+          << common::FormatDouble(p.p99_ms, 3) << " ms, recall@" << c.k
+          << " " << common::FormatDouble(p.recall_at_k, 4)
+          << (p.path == "int8"
+                  ? " (raw " + common::FormatDouble(p.recall_at_k_raw, 4) +
+                        ")"
+                  : "")
+          << ", hits@1 " << common::FormatDouble(p.hits_at_1, 4)
+          << (p.bitexact ? " (bit-exact)" : "")
+          << (p.bitexact_full.value_or(false) ? " (exact mode bit-exact)"
+                                              : "")
+          << (p.refined_exact_matches_fp32.value_or(false)
+                  ? " (refined == fp32)"
+                  : "")
+          << "\n";
     }
   }
   out << "wrote " << out_path << " (" << report.cases.size() << " cases)\n";
@@ -835,106 +856,6 @@ Status CmdQuantize(const std::vector<std::string>& args, std::ostream& out) {
                        : 0.0,
              2)
       << "x), wrote " << out_path << "\n";
-  return Status::Ok();
-}
-
-// bench-quant: fp32 vs bf16 vs int8 storage across an entity-count sweep;
-// writes BENCH_quant.json (schema desalign.quant_bench.v1, gated by
-// tools/ci.sh --quant).
-Status CmdBenchQuant(const std::vector<std::string>& args,
-                     std::ostream& out) {
-  FlagParser parser(
-      "desalign bench-quant: quantized embedding storage vs fp32 — memory, "
-      "latency, recall");
-  ThreadsFlag threads;
-  threads.Register(parser);
-  std::string out_path;
-  std::string entities_list;
-  int64_t dim;
-  int64_t num_queries;
-  int64_t k;
-  int64_t rerank;
-  int64_t clusters;
-  double noise;
-  bool smoke;
-  parser.AddString("out", "BENCH_quant.json", "output JSON path", &out_path);
-  parser.AddString("entities-list", "10000,100000,1000000",
-                   "comma-separated entity counts to sweep", &entities_list);
-  parser.AddInt64("dim", 64, "embedding dimension", &dim);
-  parser.AddInt64("queries", 256, "queries per case", &num_queries);
-  parser.AddInt64("k", 10, "candidates per query", &k);
-  parser.AddInt64("rerank", 0,
-                  "int8 stage-2 re-rank width (0 = auto, <0 = all rows)",
-                  &rerank);
-  parser.AddInt64("clusters", 256, "synthetic mixture components",
-                  &clusters);
-  parser.AddDouble("noise", 0.25, "synthetic per-coordinate noise",
-                   &noise);
-  parser.AddBool("smoke", false,
-                 "CI mode: smallest entity count only, fewer queries",
-                 &smoke);
-  auto argv = ToArgv(args);
-  DESALIGN_RETURN_NOT_OK(
-      parser.Parse(static_cast<int>(argv.size()), argv.data(), 0));
-  DESALIGN_RETURN_NOT_OK(threads.Apply());
-  if (num_queries <= 0 || k <= 0) {
-    return Status::InvalidArgument("--queries and --k must be positive");
-  }
-
-  index::QuantBenchOptions options;
-  options.entity_counts.clear();
-  for (const auto& tok : common::Split(entities_list, ',')) {
-    const std::string trimmed(common::Trim(tok));
-    if (trimmed.empty()) continue;
-    const int64_t n = std::atoll(trimmed.c_str());
-    if (n <= 0) {
-      return Status::InvalidArgument("--entities-list entries must be "
-                                     "positive integers, got '" + tok + "'");
-    }
-    options.entity_counts.push_back(n);
-  }
-  if (options.entity_counts.empty()) {
-    return Status::InvalidArgument("--entities-list is empty");
-  }
-  options.dim = dim;
-  options.queries = num_queries;
-  options.k = k;
-  options.rerank_candidates = rerank;
-  options.clusters = clusters;
-  options.noise = noise;
-  options.smoke = smoke;
-
-  const auto report = index::RunQuantBench(options);
-
-  std::ofstream file(out_path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open '" + out_path +
-                                   "' for writing");
-  }
-  file << report.ToJson();
-  file.close();
-
-  for (const auto& c : report.cases) {
-    out << c.entities << " entities (dim " << c.dim << ", k " << c.k
-        << "):\n";
-    for (const auto& d : c.dtypes) {
-      out << "  " << d.dtype << ": "
-          << d.table_bytes << " B ("
-          << common::FormatDouble(d.memory_reduction, 2) << "x), p50 "
-          << common::FormatDouble(d.p50_ms, 3) << " ms, p99 "
-          << common::FormatDouble(d.p99_ms, 3) << " ms, recall@" << c.k
-          << " " << common::FormatDouble(d.recall_at_k, 4)
-          << (d.dtype == "int8"
-                  ? " (raw " + common::FormatDouble(d.recall_at_k_raw, 4) +
-                        ")"
-                  : "")
-          << ", hits@1 " << common::FormatDouble(d.hits_at_1, 4)
-          << (d.bitexact_full ? " (exact-mode bit-exact)" : "")
-          << (d.refined_exact_matches_fp32 ? " (refined == fp32)" : "")
-          << "\n";
-    }
-  }
-  out << "wrote " << out_path << " (" << report.cases.size() << " cases)\n";
   return Status::Ok();
 }
 
@@ -1056,12 +977,10 @@ constexpr char kTopLevelUsage[] =
     "  serve-bench  train, checkpoint, then replay top-k alignment queries\n"
     "  bench-kernels  time tensor kernels vs the scalar reference, write "
     "BENCH_kernels.json\n"
-    "  bench-index  sweep entity counts, IVF index vs brute force, write "
-    "BENCH_index.json\n"
     "  quantize     convert a checkpoint's embeddings to int8/bf16 v3 "
     "storage\n"
-    "  bench-quant  sweep entity counts, quantized storage vs fp32, write "
-    "BENCH_quant.json\n"
+    "  bench-retrieval  sweep entity counts, brute force over fp32/bf16/"
+    "int8 and IVF, write BENCH_retrieval.json\n"
     "  bench-overload  open-loop overload sweep of the serving queue, "
     "write BENCH_overload.json\n"
     "run `desalign <command> --help` for command flags.\n";
@@ -1090,12 +1009,10 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out) {
     status = CmdServeBench(rest, out);
   } else if (command == "bench-kernels") {
     status = CmdBenchKernels(rest, out);
-  } else if (command == "bench-index") {
-    status = CmdBenchIndex(rest, out);
+  } else if (command == "bench-retrieval") {
+    status = CmdBenchRetrieval(rest, out);
   } else if (command == "quantize") {
     status = CmdQuantize(rest, out);
-  } else if (command == "bench-quant") {
-    status = CmdBenchQuant(rest, out);
   } else if (command == "bench-overload") {
     status = CmdBenchOverload(rest, out);
   } else if (command == "--help" || command == "-h" || command == "help") {

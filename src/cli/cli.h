@@ -40,12 +40,14 @@ namespace desalign::cli {
 ///       requested storage dtype (per-row symmetric int8 or bf16), and
 ///       writes a dtype-tagged v3 checkpoint for the serving path.
 ///
-///   bench-quant  [--out=BENCH_quant.json] [--entities-list=..] [--dim=..]
-///             [--queries=..] [--k=..] [--rerank=..] [--clusters=..]
+///   bench-retrieval  [--out=BENCH_retrieval.json] [--entities-list=..]
+///             [--dim=..] [--queries=..] [--k=..] [--nprobe=..]
+///             [--centroids=..] [--shards=..] [--rerank=..] [--clusters=..]
 ///             [--noise=..] [--smoke]
-///       Quantization bench: per-dtype memory footprint, latency,
-///       recall@k / Hits@1 vs fp32 brute force, and the full-probe
-///       bit-exactness gate. Writes schema desalign.quant_bench.v1.
+///       Retrieval bench: brute force over fp32, bf16 and int8 storage and
+///       the IVF index at full and partial probe, each against one fp32
+///       truth per size: footprint, latency, recall@k / Hits@1 and the
+///       bit-exactness gates. Writes schema desalign.retrieval_bench.v1.
 ///
 /// Every subcommand accepts --threads=N to size the global worker pool.
 ///

@@ -173,15 +173,15 @@ std::vector<serve::TopKResult> IvfRetriever::RetrieveWithProbe(
           for (int64_t c = 0; c < nc; ++c) {
             probe.Offer(-distances[static_cast<size_t>(c)], c);
           }
-          const std::vector<int64_t> cells = probe.FinishIds();
           // Every entity of a probed list is a candidate. The shard x cell
           // visit order is irrelevant to the output: the candidate set is
           // a set, and scoring::Better is total.
           lists.clear();
           for (const Shard& shard : built->shards) {
-            for (const int64_t c : cells) {
-              const int64_t lb = shard.list_start[static_cast<size_t>(c)];
-              const int64_t le = shard.list_start[static_cast<size_t>(c + 1)];
+            for (const serve::scoring::Candidate& cell : probe.entries()) {
+              const auto c = static_cast<size_t>(cell.id);
+              const int64_t lb = shard.list_start[c];
+              const int64_t le = shard.list_start[c + 1];
               lists.push_back({shard.entries.data() + lb, le - lb});
             }
           }

@@ -9,7 +9,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "nn/serialize.h"
 
 namespace desalign::nn {
 
@@ -164,20 +163,27 @@ class ByteReader {
     return true;
   }
 
+  /// Reads `count` elements; false on truncation, checked before any
+  /// allocation.
+  template <typename T>
+  bool ReadRaw(size_t count, std::vector<T>* out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const size_t payload = count * sizeof(T);
+    if (remaining() < payload) return false;
+    out->resize(count);
+    std::memcpy(out->data(), bytes_.data() + pos_, payload);
+    pos_ += payload;
+    return true;
+  }
+
   /// Reads `count` elements plus their trailing CRC; false on truncation,
   /// CRC mismatch sets `*crc_ok` false (payload is still consumed).
   template <typename T>
   bool ReadArray(size_t count, std::vector<T>* out, bool* crc_ok) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const size_t payload = count * sizeof(T);
-    if (remaining() < payload + sizeof(uint32_t)) return false;
-    out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + pos_, payload);
-    const uint32_t actual = Crc32(bytes_.data() + pos_, payload);
-    pos_ += payload;
+    const char* payload = bytes_.data() + pos_;
     uint32_t stored = 0;
-    Read(&stored);
-    *crc_ok = stored == actual;
+    if (!ReadRaw(count, out) || !Read(&stored)) return false;
+    *crc_ok = stored == Crc32(payload, count * sizeof(T));
     return true;
   }
 
@@ -265,6 +271,39 @@ Status ReadRecord(ByteReader& reader, bool v3, int64_t index,
   if (!crc_ok) {
     return Corrupt(path, "tensor " + std::to_string(index) +
                              " checksum mismatch");
+  }
+  return Status::Ok();
+}
+
+// Parses the records of a legacy SaveParameters (v1) file, whose body
+// after the magic is i64 count, then per tensor i64 rows | i64 cols |
+// f32[rows * cols], with no checksums. The caps keep rows * cols from
+// overflowing, and each payload is checked against the bytes left before
+// it is allocated, so a corrupt header fails cleanly.
+Status ReadLegacyRecords(ByteReader& reader, const std::string& path,
+                         std::vector<QuantTensor>* records) {
+  constexpr int64_t kMaxTensors = 1 << 20;
+  constexpr int64_t kMaxElements = int64_t{1} << 33;  // 32 GiB of floats
+  int64_t count = 0;
+  if (!reader.Read(&count)) return Corrupt(path, "truncated header");
+  if (count < 0 || count > kMaxTensors) {
+    return Corrupt(path, "implausible tensor count " + std::to_string(count));
+  }
+  for (int64_t t = 0; t < count; ++t) {
+    QuantTensor q;
+    if (!reader.Read(&q.rows) || !reader.Read(&q.cols)) {
+      return Corrupt(path, "truncated tensor header");
+    }
+    if (q.rows <= 0 || q.cols <= 0 || q.cols > kMaxElements / q.rows) {
+      return Corrupt(path, "tensor " + std::to_string(t) +
+                               " has an implausible shape " +
+                               std::to_string(q.rows) + "x" +
+                               std::to_string(q.cols));
+    }
+    if (!reader.ReadRaw(static_cast<size_t>(q.rows * q.cols), &q.f32)) {
+      return Corrupt(path, "truncated tensor payload");
+    }
+    records->push_back(std::move(q));
   }
   return Status::Ok();
 }
@@ -448,14 +487,8 @@ Result<CheckpointRecords> ParseCheckpoint(const std::string& path) {
   if (bytes.size() >= kLegacyMagicLen &&
       std::memcmp(bytes.data(), kLegacyMagic, kLegacyMagicLen) == 0) {
     // Legacy SaveParameters file: params only, pre-checksum era.
-    DESALIGN_ASSIGN_OR_RETURN(auto tensors, LoadAllParameters(path));
-    for (const auto& t : tensors) {
-      QuantTensor q;
-      q.rows = t->rows();
-      q.cols = t->cols();
-      q.f32 = std::move(t->data());
-      out.records.push_back(std::move(q));
-    }
+    ByteReader reader(std::string_view(bytes).substr(kLegacyMagicLen));
+    DESALIGN_RETURN_NOT_OK(ReadLegacyRecords(reader, path, &out.records));
     return out;
   }
   DESALIGN_ASSIGN_OR_RETURN(const CheckpointEnvelope envelope,
@@ -542,7 +575,7 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
   ckpt.tensors.reserve(parsed.records.size());
   for (QuantTensor& q : parsed.records) {
     // A v3 record keeps its stored payload and gains a dequantized fp32
-    // view, so every legacy consumer (LoadAllParameters, LoadParameters)
+    // view, so every fp32 consumer (LoadAllParameters, LoadParameters)
     // reads v3 transparently; v1/v2 records are fp32 and move in as is.
     ckpt.tensors.push_back(
         parsed.v3 ? DequantizeTensor(q)

@@ -86,9 +86,9 @@ struct CheckpointRecords {
 /// The record-level parse of the checkpoint format, and the only one:
 /// LoadCheckpoint adds its fp32 Tensor views on top, and
 /// serve::EmbeddingStore::Load moves one record's payload straight into
-/// its table. Reads `path` once (fault site "ckpt.read") and validates it
-/// exactly as LoadCheckpoint does — every corrupt input gets the same
-/// Status — but builds no Tensor for v2/v3 files.
+/// its table. Reads `path` once (fault site "ckpt.read"), v1 files
+/// included, and validates it exactly as LoadCheckpoint does — every
+/// corrupt input gets the same Status — but builds no Tensor.
 common::Result<CheckpointRecords> ParseCheckpoint(const std::string& path);
 
 /// The footer-checksummed body of a v2/v3 checkpoint file held in memory.

@@ -15,19 +15,17 @@ namespace desalign::nn {
 common::Status SaveParameters(const std::vector<tensor::TensorPtr>& params,
                               const std::string& path);
 
-/// Loads parameters saved by SaveParameters into `params` in order.
-/// Fails (without partial writes) when the count or any shape mismatches.
+/// Loads the tensors of any checkpoint LoadCheckpoint reads (v1, v2 or
+/// v3) into `params` in order. Fails with InvalidArgument, before any
+/// data moves, when the count or any shape mismatches.
 common::Status LoadParameters(const std::vector<tensor::TensorPtr>& params,
                               const std::string& path);
 
-/// Loads every tensor of a SaveParameters checkpoint, discovering count
-/// and shapes from the file — the entry point for consumers (e.g.
-/// serve::EmbeddingStore) that have no model to dictate shapes. Sniffs the
-/// magic: legacy DESALIGNPARAMS1 files are read directly, while versioned
-/// v2/v3 checkpoints (nn/checkpoint.h) are routed through LoadCheckpoint,
-/// so dtype-tagged v3 records come back transparently dequantized to
-/// float32. Corrupt, truncated or implausible headers produce a clean
-/// error Status, never a crash or an over-allocation.
+/// Every tensor of any checkpoint LoadCheckpoint reads, with count and
+/// shapes from the file: for consumers that have no model to dictate
+/// shapes. v3 records come back dequantized to float32. Corrupt,
+/// truncated or implausible files produce a clean error Status, never a
+/// crash or an over-allocation.
 common::Result<std::vector<tensor::TensorPtr>> LoadAllParameters(
     const std::string& path);
 

@@ -41,7 +41,7 @@ struct EmbeddingTable {
   std::vector<uint16_t> bf16;   ///< kBf16
 
   /// Bytes held by the populated payload vector(s), scales included — the
-  /// quantity BENCH_quant.json reports as the memory footprint.
+  /// quantity BENCH_retrieval.json reports as `table_bytes`.
   size_t MemoryBytes() const;
 };
 

@@ -143,13 +143,14 @@ int64_t ChunkScorer::ScoreIds(int64_t i, const std::vector<IdRange>& lists) {
   return candidates;
 }
 
-TopKResult ChunkScorer::Rerank(int64_t i, BoundedTopK& stage1) {
+TopKResult ChunkScorer::Rerank(int64_t i, const BoundedTopK& stage1) {
   // Stage 2: exact fp32 re-rank of the stage-1 survivors with the shared
-  // Dot/Better contract.
+  // Dot/Better contract. Better is a strict total order, so the survivors'
+  // offer order does not change the answer.
   const float* qi = query(i);
   BoundedTopK final_heap(k_);
-  for (const int64_t id : stage1.FinishIds()) {
-    final_heap.Offer(Dot(qi, ExactRow(id, scratch_.data()), dim_), id);
+  for (const Candidate& c : stage1.entries()) {
+    final_heap.Offer(Dot(qi, ExactRow(c.id, scratch_.data()), dim_), c.id);
   }
   return final_heap.Finish();
 }

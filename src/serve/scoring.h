@@ -110,15 +110,10 @@ class BoundedTopK {
     return out;
   }
 
-  /// Finish() without the TopKResult packaging; the IVF probe step wants
-  /// the ids only.
-  std::vector<int64_t> FinishIds() {
-    std::sort(heap_.begin(), heap_.end(), Better);
-    std::vector<int64_t> ids;
-    ids.reserve(heap_.size());
-    for (const auto& c : heap_) ids.push_back(c.id);
-    return ids;
-  }
+  /// The surviving set in heap order, unsorted: for callers that need
+  /// the set and not its ranking (stage 2 re-scores it, the IVF probe
+  /// scans its cells).
+  const std::vector<Candidate>& entries() const { return heap_; }
 
  private:
   void OfferSlow(float score, int64_t id);
@@ -178,7 +173,7 @@ class ChunkScorer {
   /// one and the fetch succeeds (failures counted), else from the table.
   const float* ExactRow(int64_t id, float* buf);
   /// Stage 2 of query `i`: its stage-1 survivors re-scored with Dot.
-  TopKResult Rerank(int64_t i, BoundedTopK& stage1);
+  TopKResult Rerank(int64_t i, const BoundedTopK& stage1);
   /// Writes the results of the queries OfferRows fed.
   void Finish();
 

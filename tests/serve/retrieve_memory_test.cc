@@ -145,8 +145,10 @@ TEST_F(RetrieveMemoryTest, ExactModeSizesNoHeapToTheTable) {
 TEST_F(RetrieveMemoryTest, IvfHoldsOneStage1HeapAtATime) {
   // At full probe every query offers all n rows, more than C = n / 4, so
   // every query runs both stages. One worker holds a single C-sized heap
-  // (and the survivors' ids for stage 2) at a time, not one heap per
-  // query of its chunk.
+  // at a time, not one heap per query of its chunk, and stage 2 walks
+  // that heap in place: no sorted copy of the survivors' ids (C x 8 B)
+  // sits beside it. Measured: 197 KB for a 160 KB heap; 278 KB with the
+  // id copy.
   const int64_t rerank = kRows / 4;
   common::ThreadPool pool(1);
   index::IvfOptions options;
@@ -159,7 +161,7 @@ TEST_F(RetrieveMemoryTest, IvfHoldsOneStage1HeapAtATime) {
               (void)ivf.RetrieveWithProbe(queries_.data(), kQueries, kTopK,
                                           ivf.num_centroids());
             }),
-            2 * heap_bytes);
+            heap_bytes + heap_bytes / 2);
 }
 
 }  // namespace

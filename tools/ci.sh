@@ -21,12 +21,13 @@
 #   tools/ci.sh --tier1    # only the tier-1 gate (build + full ctest +
 #                          # kernel-bench smoke)
 #   tools/ci.sh --index    # only the index gate (build + `ctest -L index`
-#                          # + bench-index smoke: recall@10 == 1.0 and
+#                          # + bench-retrieval smoke: recall@10 == 1.0 and
 #                          # bit-exactness at full probe, schema check)
 #   tools/ci.sh --quant    # only the quantization gate (build +
-#                          # `ctest -L quant` + bench-quant smoke: schema,
-#                          # full-probe bit-exactness per dtype, recall@10
-#                          # delta vs fp32 <= 0.005, int8 memory >= 3.5x)
+#                          # `ctest -L quant` + bench-retrieval smoke:
+#                          # schema, full-probe bit-exactness per dtype,
+#                          # recall@10 delta vs fp32 <= 0.005, int8 memory
+#                          # >= 3.5x)
 #   tools/ci.sh --tsan     # only the ThreadSanitizer-labelled suite
 #   tools/ci.sh --faults   # only the fault-injection suite under ASan
 #   tools/ci.sh --overload # only the overload gate (`ctest -L overload`
@@ -190,33 +191,34 @@ EOF
 fi
 
 if [[ "${run_index}" == 1 ]]; then
-  echo "== index: two-stage ANN suite + bench-index smoke gate =="
+  echo "== index: two-stage ANN suite + bench-retrieval smoke gate =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DDESALIGN_WERROR=ON
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L index
 
   # Smoke sweep: one 10^4-entity case. The gate is correctness, not speed:
-  # schema desalign.index_bench.v1, full probe bit-exact vs brute force
+  # schema desalign.retrieval_bench.v1, full probe bit-exact vs brute force
   # with recall@10 == 1.0. Partial probe only needs sane bounds here; its
   # real recall floor (>= 0.95 at 10^5) is asserted on full BENCH runs.
-  ./build/tools/desalign bench-index --smoke \
-    --out=build/BENCH_index_smoke.json
+  ./build/tools/desalign bench-retrieval --smoke \
+    --out=build/BENCH_retrieval_smoke.json
   python3 - <<'EOF'
 import json
-with open("build/BENCH_index_smoke.json") as f:
+with open("build/BENCH_retrieval_smoke.json") as f:
     report = json.load(f)
-assert report["schema"] == "desalign.index_bench.v1", report.get("schema")
+assert report["schema"] == "desalign.retrieval_bench.v1", report.get("schema")
 assert len(report["cases"]) >= 1, "no bench cases"
 for case in report["cases"]:
     assert case["entities"] > 0 and case["num_centroids"] > 0, case
     paths = {p["path"]: p for p in case["paths"]}
-    assert {"brute", "ivf_full", "ivf_partial"} <= set(paths), set(paths)
+    assert {"fp32", "ivf_full", "ivf_partial"} <= set(paths), set(paths)
     full = paths["ivf_full"]
     assert full["bitexact"] is True, "full probe diverged from brute force"
     assert full["recall_at_k"] == 1.0, full["recall_at_k"]
     partial = paths["ivf_partial"]
     assert 0.0 <= partial["recall_at_k"] <= 1.0, partial["recall_at_k"]
-    for p in case["paths"]:
+    for name in ("fp32", "ivf_full", "ivf_partial"):
+        p = paths[name]
         assert p["p50_ms"] > 0 and p["p99_ms"] >= p["p50_ms"], p
         assert p["qps"] > 0, p
 print(f"index smoke OK: {len(report['cases'])} case(s), schema v1, "
@@ -225,37 +227,39 @@ EOF
 fi
 
 if [[ "${run_quant}" == 1 ]]; then
-  echo "== quant: quantized serving suite + bench-quant smoke gate =="
+  echo "== quant: quantized serving suite + bench-retrieval smoke gate =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DDESALIGN_WERROR=ON
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L quant
 
-  # Smoke sweep: one 10^4-entity case at dim 64. Gates: schema
-  # desalign.quant_bench.v1; exact mode bit-exact vs the dequantized brute
-  # force for EVERY dtype; int8 full-precision refinement bit-identical to
-  # true fp32 brute force; recall@10 within 0.005 of the fp32 baseline;
-  # int8 footprint >= 3.5x smaller than fp32 (the dim-64 dtype matrix in
-  # docs/PERFORMANCE.md explains why 3.76x is the expected value).
-  ./build/tools/desalign bench-quant --smoke \
-    --out=build/BENCH_quant_smoke.json
+  # Smoke sweep: one 10^4-entity case at dim 64. Gates on the brute-force
+  # paths, schema desalign.retrieval_bench.v1: exact mode bit-exact vs the
+  # dequantized brute force for EVERY dtype; int8 full-precision refinement
+  # bit-identical to true fp32 brute force; recall@10 within 0.005 of the
+  # fp32 baseline; int8 footprint >= 3.5x smaller than fp32 (the dim-64
+  # dtype matrix in docs/PERFORMANCE.md explains why 3.76x is the expected
+  # value).
+  ./build/tools/desalign bench-retrieval --smoke \
+    --out=build/BENCH_retrieval_smoke.json
   python3 - <<'EOF'
 import json
-with open("build/BENCH_quant_smoke.json") as f:
+with open("build/BENCH_retrieval_smoke.json") as f:
     report = json.load(f)
-assert report["schema"] == "desalign.quant_bench.v1", report.get("schema")
+assert report["schema"] == "desalign.retrieval_bench.v1", report.get("schema")
 assert len(report["cases"]) >= 1, "no bench cases"
 for case in report["cases"]:
     assert case["entities"] > 0 and case["k"] > 0, case
-    dtypes = {d["dtype"]: d for d in case["dtypes"]}
-    assert {"fp32", "bf16", "int8"} <= set(dtypes), set(dtypes)
+    paths = {p["path"]: p for p in case["paths"]}
+    assert {"fp32", "bf16", "int8"} <= set(paths), set(paths)
+    dtypes = {name: paths[name] for name in ("fp32", "bf16", "int8")}
     fp32 = dtypes["fp32"]
     assert fp32["recall_at_k"] == 1.0 and fp32["hits_at_1"] == 1.0, fp32
-    for d in case["dtypes"]:
+    for name, d in dtypes.items():
         assert d["bitexact_full"] is True, (
-            f"{d['dtype']}: exact mode diverged from brute force")
+            f"{name}: exact mode diverged from brute force")
         delta = fp32["recall_at_k"] - d["recall_at_k"]
         assert delta <= 0.005, (
-            f"{d['dtype']}: recall@10 delta {delta:.4f} > 0.005")
+            f"{name}: recall@10 delta {delta:.4f} > 0.005")
         assert d["p50_ms"] > 0 and d["p99_ms"] >= d["p50_ms"], d
     assert dtypes["int8"]["memory_reduction"] >= 3.5, (
         f"int8 reduction {dtypes['int8']['memory_reduction']:.2f}x < 3.5x")
