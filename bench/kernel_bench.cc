@@ -1,27 +1,29 @@
-#include "tensor/kernels/kernel_bench.h"
+#include "bench/kernel_bench.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <sstream>
 #include <utility>
 
+#include "bench/perf_bench.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "tensor/kernels/dispatch.h"
 #include "tensor/kernels/elementwise.h"
 #include "tensor/kernels/gemm.h"
-#include "tensor/kernels/reference.h"
 #include "tensor/kernels/rowwise.h"
 #include "tensor/sparse.h"
+#include "testing/kernel_reference.h"
 
-namespace desalign::tensor::kernels {
+namespace desalign::bench {
 
 namespace {
 
+using tensor::CsrMatrix;
+using tensor::Triplet;
 using BenchFn = std::function<void()>;
 
 double MeasureNs(int repeats, const BenchFn& fn) {
@@ -101,6 +103,7 @@ class Runner {
   void Case(const std::string& op, int64_t rows, int64_t cols,
             double norm_elems, const BenchFn& ref_fn,
             const BenchFn& kernel_fn) {
+    using namespace tensor::kernels;
     KernelBenchCase c;
     c.op = op;
     c.rows = rows;
@@ -129,13 +132,6 @@ class Runner {
   const KernelBenchOptions& options_;
   KernelBenchReport* report_;
 };
-
-std::string JsonNum(double v) {
-  std::ostringstream os;
-  os.precision(6);
-  os << v;
-  return os.str();
-}
 
 }  // namespace
 
@@ -169,6 +165,7 @@ std::string KernelBenchReport::ToJson() const {
 }
 
 KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
+  using namespace tensor::kernels;
   const int saved_threads = common::ThreadPool::Global().num_threads();
   KernelBenchReport report;
   Runner runner(options, &report);
@@ -438,4 +435,4 @@ KernelBenchReport RunKernelBench(const KernelBenchOptions& options) {
   return report;
 }
 
-}  // namespace desalign::tensor::kernels
+}  // namespace desalign::bench

@@ -1,18 +1,18 @@
-#ifndef DESALIGN_TENSOR_KERNELS_KERNEL_BENCH_H_
-#define DESALIGN_TENSOR_KERNELS_KERNEL_BENCH_H_
+#ifndef DESALIGN_BENCH_KERNEL_BENCH_H_
+#define DESALIGN_BENCH_KERNEL_BENCH_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-// Kernel regression benchmark: times every major kernel against the serial
-// scalar reference (kernels/reference.cc, the pre-kernel-layer op loops)
-// across a thread-count x ISA grid and emits a machine-readable report
-// (BENCH_kernels.json, schema "desalign.kernel_bench.v3"). tools/ci.sh
-// runs the smoke configuration and asserts the vector path does not regress
-// below the reference; docs/PERFORMANCE.md explains how to read the output.
+// Kernel regression benchmark (`perf_bench kernels`): times every major
+// kernel against the serial scalar reference (testing/kernel_reference.cc,
+// the pre-kernel-layer op loops) across a thread-count x ISA grid and emits
+// a machine-readable report (BENCH_kernels.json, schema
+// "desalign.kernel_bench.v3"). tools/ci.sh runs the smoke configuration and
+// asserts the vector path does not regress below the reference.
 
-namespace desalign::tensor::kernels {
+namespace desalign::bench {
 
 struct KernelBenchOptions {
   /// Thread counts to sweep; the global pool is resized per measurement and
@@ -54,6 +54,6 @@ struct KernelBenchReport {
 /// the kernel ISA level per measurement; both are restored on return.
 KernelBenchReport RunKernelBench(const KernelBenchOptions& options);
 
-}  // namespace desalign::tensor::kernels
+}  // namespace desalign::bench
 
-#endif  // DESALIGN_TENSOR_KERNELS_KERNEL_BENCH_H_
+#endif  // DESALIGN_BENCH_KERNEL_BENCH_H_

@@ -1,30 +1,29 @@
-#include "serve/overload_bench.h"
+#include "bench/overload_bench.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "bench/perf_bench.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/batch_queue.h"
-#include "serve/bench_util.h"
 #include "serve/embedding_store.h"
 #include "serve/topk.h"
 
-namespace desalign::serve {
+namespace desalign::bench {
 
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-using bench::JsonNum;
-using bench::MixtureRows;
+using serve::BatchQueue;
+using serve::BatchQueueOptions;
+using serve::TopKResult;
 
 std::vector<float> QueryAt(const std::vector<float>& pool, int64_t dim,
                            int64_t i, int64_t pool_size) {
@@ -37,7 +36,7 @@ std::vector<float> QueryAt(const std::vector<float>& pool, int64_t dim,
 /// always drains full batches and the measured rate converges to the
 /// retriever's true batched scan throughput — what "capacity" must mean
 /// for an open-loop sweep to actually exceed it.
-double MeasureCapacity(const Retriever& retriever,
+double MeasureCapacity(const serve::Retriever& retriever,
                        const BatchQueueOptions& queue_options,
                        const std::vector<float>& pool, int64_t dim,
                        int64_t pool_size, int threads, double seconds) {
@@ -127,10 +126,6 @@ int64_t OfferLoad(BatchQueue& queue, const std::vector<float>& pool,
   return submitted.load();
 }
 
-bool BitExactResult(const TopKResult& a, const TopKResult& b) {
-  return a.ids == b.ids && a.scores == b.scores;
-}
-
 }  // namespace
 
 std::string OverloadBenchReport::ToJson() const {
@@ -155,9 +150,9 @@ std::string OverloadBenchReport::ToJson() const {
        << ",\"end_rung\":" << c.end_rung << "}";
   }
   os << "],\"recovery\":{\"from_rung\":" << recovery.from_rung
-     << ",\"reached_healthy\":" << (recovery.reached_healthy ? "true" : "false")
+     << ",\"reached_healthy\":" << JsonBool(recovery.reached_healthy)
      << ",\"recover_ms\":" << JsonNum(recovery.recover_ms)
-     << ",\"bitexact\":" << (recovery.bitexact ? "true" : "false") << "}}";
+     << ",\"bitexact\":" << JsonBool(recovery.bitexact) << "}}";
   return os.str();
 }
 
@@ -180,9 +175,8 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
   // neighbourhood structure and make latency the only meaningful number.
   common::Rng rng(opt.seed);
   const int64_t clusters = std::min<int64_t>(256, opt.entities);
-  const std::vector<float> centers =
-      bench::UnitCenters(rng, clusters, opt.dim);
-  EmbeddingStore store = EmbeddingStore::FromRows(
+  const std::vector<float> centers = UnitCenters(rng, clusters, opt.dim);
+  serve::EmbeddingStore store = serve::EmbeddingStore::FromRows(
       opt.entities, opt.dim,
       MixtureRows(rng, centers, clusters, opt.entities, opt.dim, 0.25));
   const int64_t pool_size = 1024;
@@ -192,11 +186,11 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
   // One scan thread: the point is an easily-saturated retriever, so the
   // client fleet can actually push the queue past capacity.
   common::ThreadPool scan_pool(1);
-  TopKOptions topk;
+  serve::TopKOptions topk;
   topk.pool = &scan_pool;
   obs::MetricsRegistry quant_registry;
   topk.registry = &quant_registry;
-  TopKRetriever retriever(&store, topk);
+  serve::TopKRetriever retriever(&store, topk);
 
   OverloadBenchReport report;
   report.entities = opt.entities;
@@ -235,7 +229,7 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
 
   for (const double multiplier : opt.load_multipliers) {
     obs::MetricsRegistry registry;
-    ServeStats stats(&registry);
+    serve::ServeStats stats(&registry);
     BatchQueue queue(&retriever, base, &stats);
     std::atomic<int> max_rung{0};
     const double offered = multiplier * report.capacity_qps;
@@ -246,7 +240,7 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
                             opt.duration_s, threads, &max_rung);
     c.end_rung = queue.health_rung();
     queue.Shutdown();  // drain; every future resolves before we read stats
-    const ServeStatsSnapshot snap = stats.Snapshot();
+    const serve::ServeStatsSnapshot snap = stats.Snapshot();
     c.admitted = snap.admitted;
     c.ok = snap.queries;
     c.shed_queue_full = snap.shed_queue_full;
@@ -267,7 +261,7 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
   // unloaded brute-force baseline.
   {
     obs::MetricsRegistry registry;
-    ServeStats stats(&registry);
+    serve::ServeStats stats(&registry);
     BatchQueue queue(&retriever, base, &stats);
     OfferLoad(queue, queries, opt.dim, pool_size, 4.0 * report.capacity_qps,
               opt.smoke ? 0.3 : 0.8, threads, nullptr);
@@ -284,16 +278,15 @@ OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options) {
         std::chrono::duration<double, std::milli>(SteadyClock::now() - start)
             .count();
     const std::vector<float> probe = QueryAt(queries, opt.dim, 7, pool_size);
-    const TopKResult via_queue =
-        queue.Submit(probe).get();
+    const TopKResult via_queue = queue.Submit(probe).get();
     const std::vector<TopKResult> direct =
         retriever.Retrieve(probe.data(), 1, opt.k);
-    report.recovery.bitexact = via_queue.status == ServeStatus::kOk &&
-                               via_queue.degradation ==
-                                   DegradationLevel::kNone &&
-                               BitExactResult(via_queue, direct[0]);
+    report.recovery.bitexact =
+        via_queue.status == serve::ServeStatus::kOk &&
+        via_queue.degradation == serve::DegradationLevel::kNone &&
+        SameAnswer(via_queue, direct[0]);
   }
   return report;
 }
 
-}  // namespace desalign::serve
+}  // namespace desalign::bench

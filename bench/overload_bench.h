@@ -1,11 +1,11 @@
-#ifndef DESALIGN_SERVE_OVERLOAD_BENCH_H_
-#define DESALIGN_SERVE_OVERLOAD_BENCH_H_
+#ifndef DESALIGN_BENCH_OVERLOAD_BENCH_H_
+#define DESALIGN_BENCH_OVERLOAD_BENCH_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-namespace desalign::serve {
+namespace desalign::bench {
 
 /// Open-loop overload sweep for the BatchQueue front door. A closed-loop
 /// probe first measures the retriever's sustainable capacity; the sweep
@@ -82,6 +82,6 @@ struct OverloadBenchReport {
 
 OverloadBenchReport RunOverloadBench(const OverloadBenchOptions& options);
 
-}  // namespace desalign::serve
+}  // namespace desalign::bench
 
-#endif  // DESALIGN_SERVE_OVERLOAD_BENCH_H_
+#endif  // DESALIGN_BENCH_OVERLOAD_BENCH_H_

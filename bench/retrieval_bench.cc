@@ -1,4 +1,4 @@
-#include "index/retrieval_bench.h"
+#include "bench/retrieval_bench.h"
 
 #include <unistd.h>
 
@@ -8,38 +8,31 @@
 #include <sstream>
 #include <utility>
 
+#include "bench/perf_bench.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "index/ivf.h"
 #include "nn/quant.h"
 #include "obs/metrics.h"
-#include "serve/bench_util.h"
 #include "serve/embedding_store.h"
 #include "serve/row_source.h"
 #include "serve/scoring.h"
 #include "serve/topk.h"
 
-namespace desalign::index {
+namespace desalign::bench {
 
 namespace {
 
-namespace bench = serve::bench;
-using bench::JsonNum;
 using serve::TopKResult;
 
 /// One Retrieve of `count` queries at the case's k.
 using RetrieveFn =
     std::function<std::vector<TopKResult>(const float*, int64_t count)>;
 
-/// ids and scores byte-equal: the determinism-contract comparison.
 bool BitExact(const std::vector<TopKResult>& a,
               const std::vector<TopKResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].ids != b[i].ids || a[i].scores != b[i].scores) return false;
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameAnswer);
 }
 
 /// Mean over queries of the share of the truth's ids found anywhere in
@@ -118,8 +111,6 @@ void Measure(const RetrieveFn& retrieve, const float* queries,
   path->bitexact = BitExact(truth, got);
 }
 
-const char* JsonBool(bool v) { return v ? "true" : "false"; }
-
 }  // namespace
 
 std::string RetrievalBenchReport::ToJson() const {
@@ -182,12 +173,11 @@ RetrievalBenchReport RunRetrievalBench(const RetrievalBenchOptions& options) {
     common::Rng rng(options.seed + static_cast<uint64_t>(n));
     const int64_t clusters =
         std::min(std::max<int64_t>(options.clusters, 1), n);
-    const auto centers = bench::UnitCenters(rng, clusters, dim);
+    const auto centers = UnitCenters(rng, clusters, dim);
     auto store = serve::EmbeddingStore::FromRows(
-        n, dim,
-        bench::MixtureRows(rng, centers, clusters, n, dim, options.noise));
-    const auto queries = bench::MixtureRows(rng, centers, clusters,
-                                            num_queries, dim, options.noise);
+        n, dim, MixtureRows(rng, centers, clusters, n, dim, options.noise));
+    const auto queries = MixtureRows(rng, centers, clusters, num_queries, dim,
+                                     options.noise);
 
     RetrievalBenchCase bench_case;
     bench_case.entities = n;
@@ -293,13 +283,13 @@ RetrievalBenchReport RunRetrievalBench(const RetrievalBenchOptions& options) {
     }
     std::filesystem::remove(source_path);
 
-    IvfOptions ivf_options;
+    index::IvfOptions ivf_options;
     ivf_options.num_centroids = options.num_centroids;
     ivf_options.nprobe = options.nprobe;
     ivf_options.num_shards = options.num_shards;
     ivf_options.seed = options.seed;
     ivf_options.registry = &registry;
-    const IvfRetriever ivf(&store, ivf_options);
+    const index::IvfRetriever ivf(&store, ivf_options);
     bench_case.num_centroids = ivf.num_centroids();
     bench_case.shards = ivf.num_shards();
     bench_case.build_ms = ivf.last_build_ms();
@@ -329,4 +319,4 @@ RetrievalBenchReport RunRetrievalBench(const RetrievalBenchOptions& options) {
   return report;
 }
 
-}  // namespace desalign::index
+}  // namespace desalign::bench

@@ -1,12 +1,12 @@
-#ifndef DESALIGN_INDEX_RETRIEVAL_BENCH_H_
-#define DESALIGN_INDEX_RETRIEVAL_BENCH_H_
+#ifndef DESALIGN_BENCH_RETRIEVAL_BENCH_H_
+#define DESALIGN_BENCH_RETRIEVAL_BENCH_H_
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-namespace desalign::index {
+namespace desalign::bench {
 
 /// Entity-count sweep of every retrieval path: brute force over fp32, bf16
 /// and int8 storage, and the IVF index at full and partial probe. Each
@@ -83,6 +83,6 @@ struct RetrievalBenchReport {
 
 RetrievalBenchReport RunRetrievalBench(const RetrievalBenchOptions& options);
 
-}  // namespace desalign::index
+}  // namespace desalign::bench
 
-#endif  // DESALIGN_INDEX_RETRIEVAL_BENCH_H_
+#endif  // DESALIGN_BENCH_RETRIEVAL_BENCH_H_

@@ -5,8 +5,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <future>
+#include <iostream>
 #include <memory>
 #include <thread>
 
@@ -22,7 +22,6 @@
 #include "eval/harness.h"
 #include "common/table.h"
 #include "index/ivf.h"
-#include "index/retrieval_bench.h"
 #include "nn/quant.h"
 #include "kg/io.h"
 #include "kg/presets.h"
@@ -32,10 +31,8 @@
 #include "obs/trace.h"
 #include "serve/batch_queue.h"
 #include "serve/embedding_store.h"
-#include "serve/overload_bench.h"
 #include "serve/stats.h"
 #include "serve/topk.h"
-#include "tensor/kernels/kernel_bench.h"
 
 namespace desalign::cli {
 
@@ -446,9 +443,9 @@ Status CmdSweep(const std::vector<std::string>& args, std::ostream& out) {
 }
 
 // serve-bench: the full online-retrieval journey — generate (or load) a
-// dataset, train a fusion model briefly, persist its fused embeddings
-// through an nn::serialize checkpoint, rebuild an EmbeddingStore from that
-// checkpoint, then replay queries through BatchQueue + TopKRetriever from
+// dataset, train a fusion model briefly, save its fused target embeddings
+// with EmbeddingStore::Save, load them back with EmbeddingStore::Load, then
+// replay queries through BatchQueue and the --index retriever from
 // concurrent submitter threads and report latency/throughput.
 Status CmdServeBench(const std::vector<std::string>& args,
                      std::ostream& out) {
@@ -630,188 +627,6 @@ Status CmdServeBench(const std::vector<std::string>& args,
   return metrics.Finish(out);
 }
 
-// bench-kernels: the tensor kernel regression benchmark — times every major
-// kernel against the serial scalar reference across a thread-count x ISA
-// grid and writes BENCH_kernels.json. tools/ci.sh runs the --smoke
-// configuration; docs/PERFORMANCE.md documents the schema.
-Status CmdBenchKernels(const std::vector<std::string>& args,
-                       std::ostream& out) {
-  FlagParser parser(
-      "desalign bench-kernels: tensor kernel layer vs scalar reference");
-  std::string out_path;
-  std::string threads_list;
-  int64_t repeats;
-  bool smoke;
-  parser.AddString("out", "BENCH_kernels.json", "output JSON path",
-                   &out_path);
-  parser.AddString("threads-list", "1,2,4,8",
-                   "comma-separated thread counts to sweep", &threads_list);
-  parser.AddInt64("repeats", 5, "timing repeats per measurement (min wins)",
-                  &repeats);
-  parser.AddBool("smoke", false, "tiny shapes for CI smoke runs", &smoke);
-  auto argv = ToArgv(args);
-  DESALIGN_RETURN_NOT_OK(
-      parser.Parse(static_cast<int>(argv.size()), argv.data(), 0));
-  if (repeats <= 0) {
-    return Status::InvalidArgument("--repeats must be positive");
-  }
-
-  tensor::kernels::KernelBenchOptions options;
-  options.thread_counts.clear();
-  for (const auto& tok : common::Split(threads_list, ',')) {
-    const std::string trimmed(common::Trim(tok));
-    if (trimmed.empty()) continue;
-    const int t = std::atoi(trimmed.c_str());
-    if (t <= 0) {
-      return Status::InvalidArgument("--threads-list entries must be "
-                                     "positive integers, got '" + tok + "'");
-    }
-    options.thread_counts.push_back(t);
-  }
-  if (options.thread_counts.empty()) {
-    return Status::InvalidArgument("--threads-list is empty");
-  }
-  options.repeats = static_cast<int>(repeats);
-  options.smoke = smoke;
-
-  const auto report = tensor::kernels::RunKernelBench(options);
-
-  std::ofstream file(out_path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open '" + out_path +
-                                   "' for writing");
-  }
-  file << report.ToJson();
-  file.close();
-
-  for (const auto& c : report.cases) {
-    out << c.op << " " << c.rows << "x" << c.cols << ": ref "
-        << common::FormatDouble(c.ref_ns_per_elem, 3) << " ns/elem, best "
-        << common::FormatDouble(c.BestSpeedup(), 2) << "x\n";
-  }
-  out << "wrote " << out_path << " (" << report.cases.size() << " cases)\n";
-  return Status::Ok();
-}
-
-// bench-retrieval: every retrieval path (brute force over fp32, bf16 and
-// int8, IVF at full and partial probe) across an entity-count sweep, one
-// table, query set and truth per size; writes BENCH_retrieval.json
-// (schema desalign.retrieval_bench.v1, gated by tools/ci.sh --index and
-// --quant).
-Status CmdBenchRetrieval(const std::vector<std::string>& args,
-                         std::ostream& out) {
-  FlagParser parser(
-      "desalign bench-retrieval: brute force over fp32/bf16/int8 and the "
-      "IVF index, against one fp32 truth per size");
-  ThreadsFlag threads;
-  threads.Register(parser);
-  std::string out_path;
-  std::string entities_list;
-  int64_t dim;
-  int64_t num_queries;
-  int64_t k;
-  int64_t nprobe;
-  int64_t centroids;
-  int64_t shards;
-  int64_t rerank;
-  int64_t clusters;
-  double noise;
-  bool smoke;
-  parser.AddString("out", "BENCH_retrieval.json", "output JSON path",
-                   &out_path);
-  parser.AddString("entities-list", "10000,100000,1000000",
-                   "comma-separated entity counts to sweep", &entities_list);
-  parser.AddInt64("dim", 64, "embedding dimension", &dim);
-  parser.AddInt64("queries", 256, "queries per case", &num_queries);
-  parser.AddInt64("k", 10, "candidates per query", &k);
-  parser.AddInt64("nprobe", 8, "partial-probe width", &nprobe);
-  parser.AddInt64("centroids", 0, "IVF coarse cells (0 = ~sqrt(n))",
-                  &centroids);
-  parser.AddInt64("shards", 4, "IVF inverted-list shards", &shards);
-  parser.AddInt64("rerank", 0,
-                  "int8 stage-2 re-rank width (0 = auto, <0 = all rows)",
-                  &rerank);
-  parser.AddInt64("clusters", 256, "synthetic mixture components",
-                  &clusters);
-  parser.AddDouble("noise", 0.25, "synthetic per-coordinate noise",
-                   &noise);
-  parser.AddBool("smoke", false,
-                 "CI mode: smallest entity count only, fewer queries",
-                 &smoke);
-  auto argv = ToArgv(args);
-  DESALIGN_RETURN_NOT_OK(
-      parser.Parse(static_cast<int>(argv.size()), argv.data(), 0));
-  DESALIGN_RETURN_NOT_OK(threads.Apply());
-  if (num_queries <= 0 || k <= 0) {
-    return Status::InvalidArgument("--queries and --k must be positive");
-  }
-
-  index::RetrievalBenchOptions options;
-  options.entity_counts.clear();
-  for (const auto& tok : common::Split(entities_list, ',')) {
-    const std::string trimmed(common::Trim(tok));
-    if (trimmed.empty()) continue;
-    const int64_t n = std::atoll(trimmed.c_str());
-    if (n <= 0) {
-      return Status::InvalidArgument("--entities-list entries must be "
-                                     "positive integers, got '" + tok + "'");
-    }
-    options.entity_counts.push_back(n);
-  }
-  if (options.entity_counts.empty()) {
-    return Status::InvalidArgument("--entities-list is empty");
-  }
-  options.dim = dim;
-  options.queries = num_queries;
-  options.k = k;
-  options.nprobe = nprobe;
-  options.num_centroids = centroids;
-  options.num_shards = static_cast<int>(shards);
-  options.rerank_candidates = rerank;
-  options.clusters = clusters;
-  options.noise = noise;
-  options.smoke = smoke;
-
-  const auto report = index::RunRetrievalBench(options);
-
-  std::ofstream file(out_path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open '" + out_path +
-                                   "' for writing");
-  }
-  file << report.ToJson();
-  file.close();
-
-  for (const auto& c : report.cases) {
-    out << c.entities << " entities (dim " << c.dim << ", k " << c.k
-        << ", truth " << common::Secs(c.truth_ms / 1e3) << "; IVF "
-        << c.num_centroids << " cells, " << c.shards << " shards, built "
-        << common::Secs(c.build_ms / 1e3) << "):\n";
-    for (const auto& p : c.paths) {
-      out << "  " << p.path << ": " << p.table_bytes << " B ("
-          << common::FormatDouble(p.memory_reduction, 2) << "x), batch "
-          << common::FormatDouble(p.batch_ms, 1) << " ms, p50 "
-          << common::FormatDouble(p.p50_ms, 3) << " ms, p99 "
-          << common::FormatDouble(p.p99_ms, 3) << " ms, recall@" << c.k
-          << " " << common::FormatDouble(p.recall_at_k, 4)
-          << (p.path == "int8"
-                  ? " (raw " + common::FormatDouble(p.recall_at_k_raw, 4) +
-                        ")"
-                  : "")
-          << ", hits@1 " << common::FormatDouble(p.hits_at_1, 4)
-          << (p.bitexact ? " (bit-exact)" : "")
-          << (p.bitexact_full.value_or(false) ? " (exact mode bit-exact)"
-                                              : "")
-          << (p.refined_exact_matches_fp32.value_or(false)
-                  ? " (refined == fp32)"
-                  : "")
-          << "\n";
-    }
-  }
-  out << "wrote " << out_path << " (" << report.cases.size() << " cases)\n";
-  return Status::Ok();
-}
-
 // quantize: offline checkpoint conversion — loads an embedding tensor from
 // any supported checkpoint (v1/v2/v3), quantizes it row-wise, and writes a
 // dtype-tagged v3 checkpoint a serving process can Load or Reload.
@@ -859,112 +674,6 @@ Status CmdQuantize(const std::vector<std::string>& args, std::ostream& out) {
   return Status::Ok();
 }
 
-// bench-overload: open-loop offered-QPS sweep past the serving queue's
-// measured capacity; writes BENCH_overload.json (schema
-// desalign.overload_bench.v1, gated by tools/ci.sh --overload).
-Status CmdBenchOverload(const std::vector<std::string>& args,
-                        std::ostream& out) {
-  FlagParser parser(
-      "desalign bench-overload: open-loop overload sweep of the serving "
-      "queue — admission, deadlines, degradation ladder");
-  ThreadsFlag threads;
-  threads.Register(parser);
-  std::string out_path;
-  std::string multipliers;
-  int64_t entities;
-  int64_t dim;
-  int64_t k;
-  int64_t max_pending;
-  int64_t submit_threads;
-  double deadline_ms;
-  double duration_s;
-  bool smoke;
-  parser.AddString("out", "BENCH_overload.json", "output JSON path",
-                   &out_path);
-  parser.AddInt64("entities", 30000, "synthetic table rows", &entities);
-  parser.AddInt64("dim", 64, "embedding dimension", &dim);
-  parser.AddInt64("k", 10, "candidates per query", &k);
-  parser.AddDouble("deadline-ms", 50.0, "per-request deadline",
-                   &deadline_ms);
-  parser.AddInt64("max-pending", 256, "admission bound on the queue",
-                  &max_pending);
-  parser.AddDouble("duration-s", 2.0, "open-loop seconds per load point",
-                   &duration_s);
-  parser.AddString("multipliers", "0.5,1,2,4",
-                   "offered load as multiples of measured capacity",
-                   &multipliers);
-  parser.AddInt64("submit-threads", 0,
-                  "submitting client threads (0 = auto: min(4, cores))",
-                  &submit_threads);
-  parser.AddBool("smoke", false, "CI mode: small table, short points",
-                 &smoke);
-  auto argv = ToArgv(args);
-  DESALIGN_RETURN_NOT_OK(
-      parser.Parse(static_cast<int>(argv.size()), argv.data(), 0));
-  DESALIGN_RETURN_NOT_OK(threads.Apply());
-  if (entities <= 0 || dim <= 0 || k <= 0 || max_pending <= 0 ||
-      submit_threads < 0 || duration_s <= 0.0) {
-    return Status::InvalidArgument(
-        "--entities, --dim, --k, --max-pending and --duration-s must be "
-        "positive (--submit-threads may be 0 = auto)");
-  }
-
-  serve::OverloadBenchOptions options;
-  options.entities = entities;
-  options.dim = dim;
-  options.k = k;
-  options.deadline_ms = deadline_ms;
-  options.max_pending = max_pending;
-  options.duration_s = duration_s;
-  options.submit_threads = static_cast<int>(submit_threads);
-  options.smoke = smoke;
-  options.load_multipliers.clear();
-  for (const auto& tok : common::Split(multipliers, ',')) {
-    const std::string trimmed(common::Trim(tok));
-    if (trimmed.empty()) continue;
-    const double m = std::atof(trimmed.c_str());
-    if (m <= 0.0) {
-      return Status::InvalidArgument(
-          "--multipliers entries must be positive, got '" + tok + "'");
-    }
-    options.load_multipliers.push_back(m);
-  }
-  if (options.load_multipliers.empty()) {
-    return Status::InvalidArgument("--multipliers is empty");
-  }
-
-  const auto report = serve::RunOverloadBench(options);
-
-  std::ofstream file(out_path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open '" + out_path +
-                                   "' for writing");
-  }
-  file << report.ToJson();
-  file.close();
-
-  out << "capacity " << common::FormatDouble(report.capacity_qps, 0)
-      << " qps (" << report.entities << " entities, dim " << report.dim
-      << ", deadline " << common::FormatDouble(report.deadline_ms, 0)
-      << " ms)\n";
-  for (const auto& c : report.cases) {
-    out << "  x" << common::FormatDouble(c.multiplier, 2) << " offered "
-        << common::FormatDouble(c.offered_qps, 0) << " qps, goodput "
-        << common::FormatDouble(c.goodput_qps, 0) << " qps, ok " << c.ok
-        << ", shed " << c.shed_queue_full << "/" << c.shed_deadline
-        << ", p99 " << common::FormatDouble(c.p99_ms, 2) << " ms, rung "
-        << c.max_rung << "->" << c.end_rung << "\n";
-  }
-  out << "recovery: rung " << report.recovery.from_rung << " -> "
-      << (report.recovery.reached_healthy ? "healthy" : "NOT healthy")
-      << " in " << common::FormatDouble(report.recovery.recover_ms, 0)
-      << " ms, "
-      << (report.recovery.bitexact ? "bit-exact" : "NOT bit-exact") << "\n";
-  out << "wrote " << out_path << " (" << report.cases.size()
-      << " load points)\n";
-  return Status::Ok();
-}
-
 constexpr char kTopLevelUsage[] =
     "usage: desalign <command> [flags]\n"
     "commands:\n"
@@ -975,14 +684,8 @@ constexpr char kTopLevelUsage[] =
     "and --resume\n"
     "  sweep      robustness sweep over image/text/seed ratio\n"
     "  serve-bench  train, checkpoint, then replay top-k alignment queries\n"
-    "  bench-kernels  time tensor kernels vs the scalar reference, write "
-    "BENCH_kernels.json\n"
     "  quantize     convert a checkpoint's embeddings to int8/bf16 v3 "
     "storage\n"
-    "  bench-retrieval  sweep entity counts, brute force over fp32/bf16/"
-    "int8 and IVF, write BENCH_retrieval.json\n"
-    "  bench-overload  open-loop overload sweep of the serving queue, "
-    "write BENCH_overload.json\n"
     "run `desalign <command> --help` for command flags.\n";
 
 }  // namespace
@@ -1007,14 +710,8 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out) {
     status = CmdSweep(rest, out);
   } else if (command == "serve-bench") {
     status = CmdServeBench(rest, out);
-  } else if (command == "bench-kernels") {
-    status = CmdBenchKernels(rest, out);
-  } else if (command == "bench-retrieval") {
-    status = CmdBenchRetrieval(rest, out);
   } else if (command == "quantize") {
     status = CmdQuantize(rest, out);
-  } else if (command == "bench-overload") {
-    status = CmdBenchOverload(rest, out);
   } else if (command == "--help" || command == "-h" || command == "help") {
     out << kTopLevelUsage;
     return 0;

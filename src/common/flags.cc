@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -193,10 +194,24 @@ Result<std::vector<double>> ParseDoubleList(const std::string& text) {
     if (trimmed.empty()) continue;
     char* end = nullptr;
     const double v = std::strtod(trimmed.c_str(), &end);
-    if (end == trimmed.c_str() || *end != '\0') {
-      return Status::InvalidArgument("'" + trimmed + "' is not a number");
+    if (end == trimmed.c_str() || *end != '\0' || !std::isfinite(v)) {
+      return Status::InvalidArgument("'" + trimmed +
+                                     "' is not a finite number");
     }
     out.push_back(v);
+  }
+  return out;
+}
+
+Result<std::vector<int64_t>> ParseInt64List(const std::string& text) {
+  std::vector<int64_t> out;
+  for (const auto& part : Split(text, ',')) {
+    const std::string_view trimmed = Trim(part);
+    if (trimmed.empty()) continue;
+    if (!ParseInt64(trimmed, &out.emplace_back())) {
+      return Status::InvalidArgument("'" + std::string(trimmed) +
+                                     "' is not an integer");
+    }
   }
   return out;
 }

@@ -68,8 +68,13 @@ void AddThreadsFlag(FlagParser& parser, int64_t* out);
 /// Negative values are invalid; 0 restores the automatic default.
 Status ApplyThreadsFlag(int64_t threads);
 
-/// Splits "a,b,c" into doubles; Status on malformed entries.
+/// Splits "a,b,c" into finite doubles, skipping empty entries; Status on
+/// a malformed or non-finite (inf, nan) entry.
 Result<std::vector<double>> ParseDoubleList(const std::string& text);
+
+/// Splits "a,b,c" into integers, skipping empty entries; Status unless
+/// every entry is a whole decimal integer (ParseInt64: "1x" and "2e3" fail).
+Result<std::vector<int64_t>> ParseInt64List(const std::string& text);
 
 /// Splits "a,b,c" into trimmed non-empty strings.
 std::vector<std::string> ParseStringList(const std::string& text);

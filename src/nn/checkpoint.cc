@@ -444,14 +444,6 @@ Status SaveTensorRecord(const TensorRecordView& record,
       path);
 }
 
-bool IsVersionedCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[kMagicLen];
-  in.read(magic, kMagicLen);
-  return in && (std::memcmp(magic, kMagic, kMagicLen) == 0 ||
-                std::memcmp(magic, kMagicV3, kMagicV3Len) == 0);
-}
-
 Result<CheckpointEnvelope> ValidateCheckpointEnvelope(
     std::string_view file, const std::string& path) {
   const bool is_v3 =

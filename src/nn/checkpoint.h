@@ -69,10 +69,6 @@ common::Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
 /// Fault site "ckpt.read".
 common::Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path);
 
-/// True when `path` starts with the v2 or v3 checkpoint magic. Missing or
-/// short files report false.
-bool IsVersionedCheckpoint(const std::string& path);
-
 /// A checkpoint as stored: every tensor record in its on-disk dtype (v1
 /// and v2 records are all kFloat32, in `f32`) plus the optional training
 /// sections, which land in `state` — whose `tensors` and `quant_tensors`

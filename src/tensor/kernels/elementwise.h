@@ -12,7 +12,8 @@
 // Accumulating forms (`out[i] += ...`) mirror the autograd backward lambdas
 // they replaced; their expressions are kept token-for-token identical to the
 // pre-kernel-layer ops.cc so gradients stay bit-exact (enforced by
-// tests/tensor/kernels_bitexact_test.cc against kernels/reference.cc).
+// tests/tensor/kernels_bitexact_test.cc against the serial oracle in
+// tests/testing/kernel_reference.cc).
 
 namespace desalign::tensor::kernels {
 

@@ -13,8 +13,8 @@ Two modes:
                proves unknown pragma rules are reported. Also checks
                the exit-2 usage-error contract.
 
-  --tree       the zero-finding gate: analyzing src/ and tests/ of the
-               real repository must come back clean.
+  --tree       the zero-finding gate: analyzing src/, tests/ and bench/
+               of the real repository must come back clean.
 """
 
 import argparse
@@ -130,7 +130,7 @@ def run_fixture_checks():
 
 
 def run_tree_check():
-    exit_code, findings = run_analyzer([])  # default: src tests
+    exit_code, findings = run_analyzer([])  # default: src tests bench
     for path, line, rule in findings:
         print(f"  tree finding: {path}:{line} [{rule}]")
     check(exit_code == 0 and not findings,

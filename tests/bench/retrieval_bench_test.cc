@@ -2,14 +2,14 @@
 // the bit-exactness gates that tools/ci.sh asserts on its smoke sweep hold
 // here too.
 
-#include "index/retrieval_bench.h"
+#include "bench/retrieval_bench.h"
 
 #include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
-namespace desalign::index {
+namespace desalign::bench {
 namespace {
 
 TEST(RetrievalBenchTest, TinySweepMeasuresEveryPathAgainstOneTruth) {
@@ -62,4 +62,4 @@ TEST(RetrievalBenchTest, TinySweepMeasuresEveryPathAgainstOneTruth) {
 }
 
 }  // namespace
-}  // namespace desalign::index
+}  // namespace desalign::bench

@@ -37,6 +37,17 @@ TEST(CliTest, UnknownCommandFails) {
   EXPECT_EQ(RunTool({"frobnicate"}, &out), 2);
 }
 
+// The kernel, retrieval and overload benches are bench/perf_bench's
+// subcommands; desalign no longer knows them.
+TEST(CliTest, BenchCommandsAreUnknown) {
+  for (const char* command :
+       {"bench-kernels", "bench-retrieval", "bench-overload"}) {
+    std::string out;
+    EXPECT_EQ(RunTool({command, "--smoke"}, &out), 2) << command;
+    EXPECT_NE(out.find("unknown command"), std::string::npos) << command;
+  }
+}
+
 TEST(CliTest, StatsOnPreset) {
   std::string out;
   EXPECT_EQ(RunTool({"stats", "--preset=FBYG15K", "--entities=80"}, &out), 0);

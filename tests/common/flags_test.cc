@@ -130,6 +130,36 @@ TEST(ParseListsTest, DoubleList) {
   EXPECT_TRUE(ParseDoubleList("").ok());
 }
 
+TEST(ParseListsTest, DoubleListRejectsNonFinite) {
+  for (const char* text : {"inf", "nan", "1,-inf", "infinity,2", "NAN"}) {
+    const auto r = ParseDoubleList(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  const auto big = ParseDoubleList("1e300, 0.5");
+  ASSERT_TRUE(big.ok());
+  EXPECT_DOUBLE_EQ(big.value()[0], 1e300);
+}
+
+TEST(ParseListsTest, Int64List) {
+  const auto r = ParseInt64List(" 1, 20 ,,-3,9000000000");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), (std::vector<int64_t>{1, 20, -3, 9000000000}));
+  EXPECT_TRUE(ParseInt64List("").ok());
+  EXPECT_TRUE(ParseInt64List(" , ").value().empty());
+}
+
+TEST(ParseListsTest, Int64ListRejectsAnythingButWholeIntegers) {
+  // Whole entries only: no suffix, exponent, fraction, base prefix or
+  // out-of-range value is truncated into an integer.
+  for (const char* text : {"1x", "2e3", "1,2e3", "1.5", "0x10", "x",
+                           "99999999999999999999", "inf"}) {
+    const auto r = ParseInt64List(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 TEST(ParseListsTest, StringList) {
   auto v = ParseStringList(" a ,b,, c ");
   ASSERT_EQ(v.size(), 3u);

@@ -11,8 +11,8 @@ Two modes:
                rule; bad_pragma.cc proves unknown pragma rules are
                reported. Also checks the exit-2 usage-error contract.
 
-  --tree       the zero-finding gate: linting src/ and tests/ of the real
-               repository must come back clean.
+  --tree       the zero-finding gate: linting src/, tests/ and bench/ of
+               the real repository must come back clean.
 """
 
 import argparse
@@ -125,7 +125,7 @@ def run_fixture_checks():
 
 
 def run_tree_check():
-    exit_code, findings = run_linter([])  # default: src tests
+    exit_code, findings = run_linter([])  # default: src tests bench
     for path, line, rule in findings:
         print(f"  tree finding: {path}:{line} [{rule}]")
     check(exit_code == 0 and not findings,

@@ -36,6 +36,19 @@ class CheckpointTest : public ::testing::Test {
   std::string path_;
 };
 
+constexpr char kV2Magic[] = "DESALIGNCKPT2\n";
+constexpr char kV3Magic[] = "DESALIGNCKPT3\n";
+
+// The file's first 14 bytes, where a v2 or v3 checkpoint keeps its magic
+// (fewer if the file is shorter).
+std::string FileMagic(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string magic(14, '\0');
+  in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
+  magic.resize(static_cast<size_t>(in.gcount()));
+  return magic;
+}
+
 std::vector<TensorPtr> MakeParams(uint64_t seed) {
   common::Rng rng(seed);
   std::vector<TensorPtr> params = {
@@ -76,7 +89,7 @@ TrainingCheckpoint MakeFullCheckpoint(uint64_t seed) {
 TEST_F(CheckpointTest, FullRoundTripIsExact) {
   const auto saved = MakeFullCheckpoint(5);
   ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
-  EXPECT_TRUE(IsVersionedCheckpoint(path_));
+  EXPECT_EQ(FileMagic(path_), kV2Magic);
   auto loaded = LoadCheckpoint(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& got = loaded.value();
@@ -162,7 +175,8 @@ TEST_F(CheckpointTest, TruncationRejectedAtEveryLength) {
 TEST_F(CheckpointTest, LegacyV1FilesStillLoad) {
   const auto params = MakeParams(10);
   ASSERT_TRUE(SaveParameters(params, path_).ok());
-  EXPECT_FALSE(IsVersionedCheckpoint(path_));
+  EXPECT_NE(FileMagic(path_), kV2Magic);
+  EXPECT_NE(FileMagic(path_), kV3Magic);
   auto loaded = LoadCheckpoint(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE(loaded.value().has_optimizer);
@@ -190,7 +204,8 @@ TEST_F(CheckpointTest, MissingFileAndGarbageRejected) {
   EXPECT_FALSE(LoadCheckpoint((dir_ / "nope.dckpt").string()).ok());
   std::ofstream(path_) << "not a checkpoint at all";
   EXPECT_FALSE(LoadCheckpoint(path_).ok());
-  EXPECT_FALSE(IsVersionedCheckpoint(path_));
+  EXPECT_NE(FileMagic(path_), kV2Magic);
+  EXPECT_NE(FileMagic(path_), kV3Magic);
 }
 
 TEST_F(CheckpointTest, InjectedTornWriteIsRejectedOnLoad) {

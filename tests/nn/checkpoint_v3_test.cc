@@ -102,7 +102,7 @@ std::string MutateAndReseal(std::string bytes,
 TEST_F(CheckpointV3Test, RoundTripPreservesEveryDtypePayloadBitExactly) {
   const auto saved = MakeV3Checkpoint(3);
   ASSERT_TRUE(SaveCheckpoint(saved, path_).ok());
-  EXPECT_TRUE(IsVersionedCheckpoint(path_));
+  EXPECT_EQ(ReadFile(path_).substr(0, kMagicLen), "DESALIGNCKPT3\n");
   auto loaded = LoadCheckpoint(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& got = loaded.value();
@@ -303,7 +303,9 @@ TEST_F(CheckpointV3Test, V2AndLegacyFilesStillRoundTrip) {
   params.push_back(Tensor::Create(2, 6, true));
   tensor::FillNormal(*params.back(), rng);
   ASSERT_TRUE(SaveParameters(params, v1_path).ok());
-  EXPECT_FALSE(IsVersionedCheckpoint(v1_path));
+  const std::string v1_magic = ReadFile(v1_path).substr(0, kMagicLen);
+  EXPECT_NE(v1_magic, "DESALIGNCKPT2\n");
+  EXPECT_NE(v1_magic, "DESALIGNCKPT3\n");
   auto legacy = LoadCheckpoint(v1_path);
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy.value().tensors[0]->data(), params[0]->data());

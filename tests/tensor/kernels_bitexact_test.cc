@@ -1,7 +1,7 @@
 // Bit-exactness suite for the kernel layer: every kernel must produce
 // byte-identical output to the serial scalar reference
-// (kernels/reference.cc — the pre-kernel-layer ops.cc loops) under every
-// ISA level the CPU supports and under multi-chunk parallel partitioning
+// (testing/kernel_reference.cc — the pre-kernel-layer ops.cc loops) under
+// every ISA level the CPU supports and under multi-chunk parallel partitioning
 // (4 threads with the grain forced to 1 so even 1x1 shapes split). Shapes
 // deliberately include empty, single-row, single-column and 63/65-wide
 // cases to hit vector-width remainders on both sides.
@@ -20,8 +20,8 @@
 #include "tensor/kernels/dispatch.h"
 #include "tensor/kernels/elementwise.h"
 #include "tensor/kernels/gemm.h"
-#include "tensor/kernels/reference.h"
 #include "tensor/kernels/rowwise.h"
+#include "testing/kernel_reference.h"
 
 namespace desalign::tensor::kernels {
 namespace {

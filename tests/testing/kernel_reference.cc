@@ -1,4 +1,4 @@
-#include "tensor/kernels/reference.h"
+#include "testing/kernel_reference.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,14 +1,15 @@
-#ifndef DESALIGN_TENSOR_KERNELS_REFERENCE_H_
-#define DESALIGN_TENSOR_KERNELS_REFERENCE_H_
+#ifndef DESALIGN_TESTS_TESTING_KERNEL_REFERENCE_H_
+#define DESALIGN_TESTS_TESTING_KERNEL_REFERENCE_H_
 
 #include <cstdint>
 
 // Serial scalar reference implementations, transcribed from the
-// pre-kernel-layer src/tensor/ops.cc loops. These are the ground truth for
-// the bit-exactness suite (tests/tensor/kernels_bitexact_test.cc) and the
-// baseline the kernel benchmark reports speedups against. This file is
-// deliberately compiled WITHOUT the kernel layer's -O3 flags, so the
-// baseline reflects what the op layer actually ran before this change.
+// pre-kernel-layer src/tensor/ops.cc loops: the ground truth for the
+// bit-exactness suite (tests/tensor/kernels_bitexact_test.cc) and the
+// baseline bench/kernel_bench.cc reports speedups against. The test-only
+// desalign_kernel_reference library is deliberately compiled WITHOUT the
+// kernel layer's -O3 flags, so the baseline reflects what the op layer
+// actually ran before the kernel layer existed.
 //
 // Signatures mirror the public kernels in elementwise.h / rowwise.h /
 // gemm.h one-for-one.
@@ -108,4 +109,4 @@ void MatMulGradB(const float* g, const float* a, float* gb, int64_t m,
 
 }  // namespace desalign::tensor::kernels::reference
 
-#endif  // DESALIGN_TENSOR_KERNELS_REFERENCE_H_
+#endif  // DESALIGN_TESTS_TESTING_KERNEL_REFERENCE_H_

@@ -56,7 +56,7 @@ manifest error. Findings are sorted by (path, line, rule) and are a pure
 function of the scanned contents plus the two manifests.
 
 Usage:
-    tools/analyze/desalign_analyze.py [PATH...]     # default: src/ tests/
+    tools/analyze/desalign_analyze.py [PATH...]     # default: src/ tests/ bench/
     tools/analyze/desalign_analyze.py --list-rules
     tools/analyze/desalign_analyze.py --passes=lock-order,layering
 """
@@ -955,7 +955,7 @@ def load_tu_list(root, build_dir):
 def main(argv):
     parser = argparse.ArgumentParser(prog=TOOL, add_help=True)
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: src tests)")
+                        help="files or directories (default: src tests bench)")
     parser.add_argument("--root", default=None,
                         help="repository root (default: auto-detected)")
     parser.add_argument("--build-dir", default="build",
@@ -979,7 +979,7 @@ def main(argv):
             return fm.EXIT_USAGE
 
     root = args.root or _REPO_ROOT
-    paths = args.paths or ["src", "tests"]
+    paths = args.paths or ["src", "tests", "bench"]
 
     files = fm.collect_files(paths, root, FIXTURE_DIR_MARKERS, TOOL,
                              fm.CXX_EXTENSIONS + CMAKE_SUFFIXES)

@@ -3,12 +3,13 @@
 # fault gates.
 #
 #   tools/ci.sh            # full: lint, then tier-1 build + all tests +
-#                          # kernel-bench smoke, then UBSan, then ASan
-#                          # faults, then TSan suite
+#                          # `perf_bench kernels` smoke, then UBSan, then
+#                          # ASan faults, then TSan suite
 #   tools/ci.sh lint       # static analysis only: desalign-lint + its
-#                          # fixture suite, then clang-tidy over
-#                          # compile_commands.json (skipped with a notice
-#                          # when clang-tidy is not installed)
+#                          # fixture suite, then clang-tidy over the .cc
+#                          # files of src/, bench/ and tests/testing/
+#                          # (skipped with a notice when clang-tidy is not
+#                          # installed)
 #   tools/ci.sh --analyze  # whole-program analysis only: desalign-analyze
 #                          # fixture suite + zero-finding tree gate
 #                          # (lock-order cycles, layering DAG,
@@ -19,22 +20,23 @@
 #                          # fault suites (-fno-sanitize-recover=all, so
 #                          # any UB report aborts the test)
 #   tools/ci.sh --tier1    # only the tier-1 gate (build + full ctest +
-#                          # kernel-bench smoke)
+#                          # `perf_bench kernels` smoke)
 #   tools/ci.sh --index    # only the index gate (build + `ctest -L index`
-#                          # + bench-retrieval smoke: recall@10 == 1.0 and
-#                          # bit-exactness at full probe, schema check)
+#                          # + `perf_bench retrieval` smoke: recall@10 ==
+#                          # 1.0 and bit-exactness at full probe, schema
+#                          # check)
 #   tools/ci.sh --quant    # only the quantization gate (build +
-#                          # `ctest -L quant` + bench-retrieval smoke:
-#                          # schema, full-probe bit-exactness per dtype,
-#                          # recall@10 delta vs fp32 <= 0.005, int8 memory
-#                          # >= 3.5x)
+#                          # `ctest -L quant` + `perf_bench retrieval`
+#                          # smoke: schema, full-probe bit-exactness per
+#                          # dtype, recall@10 delta vs fp32 <= 0.005, int8
+#                          # memory >= 3.5x)
 #   tools/ci.sh --tsan     # only the ThreadSanitizer-labelled suite
 #   tools/ci.sh --faults   # only the fault-injection suite under ASan
 #   tools/ci.sh --overload # only the overload gate (`ctest -L overload`
-#                          # under TSan + bench-overload smoke: schema,
-#                          # zero shed below capacity, goodput under 2x
-#                          # overload >= 0.8x the 1x goodput, recovery to
-#                          # healthy with bit-exact results)
+#                          # under TSan + `perf_bench overload` smoke:
+#                          # schema, zero shed below capacity, goodput
+#                          # under 2x overload >= 0.8x the 1x goodput,
+#                          # recovery to healthy with bit-exact results)
 #   tools/ci.sh --benchmark # only the benchmark gate: `benchmark/run.sh
 #                          # --seconds 4` must report "correct": true, and
 #                          # serve-int8-reload's peak_rss_mb at --seconds 16
@@ -73,7 +75,7 @@ case "${1:-}" in
 esac
 
 if [[ "${run_lint}" == 1 ]]; then
-  echo "== lint: desalign-lint (zero findings over src/ + tests/) =="
+  echo "== lint: desalign-lint (zero findings over src/ + tests/ + bench/) =="
   python3 tools/lint/desalign_lint.py
   echo "== lint: fixture suite (every rule fires + is suppressible) =="
   python3 tests/lint/lint_test.py --fixtures
@@ -84,7 +86,10 @@ if [[ "${run_lint}" == 1 ]]; then
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
     # Every warning is an error: the tree stays tidy-clean, no NOLINT
     # budget. Checks are curated in .clang-tidy at the repo root.
-    mapfile -t tidy_sources < <(git ls-files 'src/**/*.cc' 'src/*.cc')
+    # bench/*.cc is perf_bench's library, tests/testing/*.cc the kernel
+    # oracle: both left src/ and keep the check.
+    mapfile -t tidy_sources < <(git ls-files 'src/**/*.cc' 'src/*.cc' \
+      'bench/*.cc' 'tests/testing/*.cc')
     clang-tidy -p build --warnings-as-errors='*' "${tidy_sources[@]}"
   else
     echo "== lint: clang-tidy not installed — stage skipped =="
@@ -119,7 +124,7 @@ if [[ "${run_analyze}" == 1 ]]; then
     echo "   unavailable; desalign-analyze falls back to a tree walk"
   fi
 
-  echo "== analyze: desalign-analyze (zero findings over src/ + tests/) =="
+  echo "== analyze: desalign-analyze (zero findings over src/ + tests/ + bench/) =="
   python3 tools/analyze/desalign_analyze.py
 fi
 
@@ -129,13 +134,13 @@ if [[ "${run_tier1}" == 1 ]]; then
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-  echo "== kernel-bench smoke: schema + vector-path, GEMV, centroid-distance and similarity-GEMM regression gate =="
+  echo "== perf_bench kernels smoke: schema + vector-path, GEMV, centroid-distance and similarity-GEMM regression gate =="
   # Tiny shapes, two repeats: this is a regression tripwire (do the
   # vector path on elementwise ops, the n = 1 GEMM, the centroid
   # distances and decode's a * b^T tile at least match the scalar
   # reference?), not a performance measurement — see docs/PERFORMANCE.md
   # for real runs.
-  ./build/tools/desalign bench-kernels --smoke --threads-list=1,2 \
+  ./build/bench/perf_bench kernels --smoke --threads-list=1,2 \
     --repeats=2 --out=build/BENCH_kernels_smoke.json
   python3 - <<'EOF'
 import json
@@ -191,7 +196,7 @@ EOF
 fi
 
 if [[ "${run_index}" == 1 ]]; then
-  echo "== index: two-stage ANN suite + bench-retrieval smoke gate =="
+  echo "== index: two-stage ANN suite + perf_bench retrieval smoke gate =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DDESALIGN_WERROR=ON
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L index
@@ -200,7 +205,7 @@ if [[ "${run_index}" == 1 ]]; then
   # schema desalign.retrieval_bench.v1, full probe bit-exact vs brute force
   # with recall@10 == 1.0. Partial probe only needs sane bounds here; its
   # real recall floor (>= 0.95 at 10^5) is asserted on full BENCH runs.
-  ./build/tools/desalign bench-retrieval --smoke \
+  ./build/bench/perf_bench retrieval --smoke \
     --out=build/BENCH_retrieval_smoke.json
   python3 - <<'EOF'
 import json
@@ -227,7 +232,7 @@ EOF
 fi
 
 if [[ "${run_quant}" == 1 ]]; then
-  echo "== quant: quantized serving suite + bench-retrieval smoke gate =="
+  echo "== quant: quantized serving suite + perf_bench retrieval smoke gate =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DDESALIGN_WERROR=ON
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L quant
@@ -239,7 +244,7 @@ if [[ "${run_quant}" == 1 ]]; then
   # fp32 baseline; int8 footprint >= 3.5x smaller than fp32 (the dim-64
   # dtype matrix in docs/PERFORMANCE.md explains why 3.76x is the expected
   # value).
-  ./build/tools/desalign bench-retrieval --smoke \
+  ./build/bench/perf_bench retrieval --smoke \
     --out=build/BENCH_retrieval_smoke.json
   python3 - <<'EOF'
 import json
@@ -277,7 +282,7 @@ EOF
 fi
 
 if [[ "${run_overload}" == 1 ]]; then
-  echo "== overload: chaos suite under TSan + bench-overload smoke gate =="
+  echo "== overload: chaos suite under TSan + perf_bench overload smoke gate =="
   # The admission/deadline/ladder state machine is all cross-thread; its
   # suite runs under ThreadSanitizer, not just plain Release.
   cmake -B build-tsan -S . -DDESALIGN_SANITIZE=thread
@@ -293,7 +298,7 @@ if [[ "${run_overload}" == 1 ]]; then
   # its 1x goodput (shed the surplus, keep the service) with p99 of
   # admitted requests bounded by the deadline regime; after the storm the
   # governor returns to healthy and serves bit-exact results again.
-  ./build/tools/desalign bench-overload --smoke \
+  ./build/bench/perf_bench overload --smoke \
     --out=build/BENCH_overload_smoke.json
   python3 - <<'EOF'
 import json

@@ -42,7 +42,7 @@ The finding/pragma/exit-code model is shared with desalign-analyze via
 tools/lint/findings.py, so the two tools cannot drift apart.
 
 Usage:
-    tools/lint/desalign_lint.py [PATH...]      # default: src/ tests/
+    tools/lint/desalign_lint.py [PATH...]      # default: src/ tests/ bench/
     tools/lint/desalign_lint.py --list-rules
 
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
@@ -172,7 +172,7 @@ def scan_file(path, display_path):
 def main(argv):
     parser = argparse.ArgumentParser(prog="desalign-lint", add_help=True)
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: src tests)")
+                        help="files or directories (default: src tests bench)")
     parser.add_argument("--root", default=None,
                         help="repository root (default: auto-detected "
                              "from this script's location)")
@@ -186,7 +186,7 @@ def main(argv):
 
     root = args.root or os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    paths = args.paths or ["src", "tests"]
+    paths = args.paths or ["src", "tests", "bench"]
 
     found = []
     files = fm.collect_files(paths, root, FIXTURE_DIR_MARKERS,
